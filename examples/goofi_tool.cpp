@@ -116,9 +116,8 @@ Result<db::Database> OpenOrCreate(const std::string& dir) {
 
 Result<std::unique_ptr<target::TargetSystemInterface>> MakeTarget(
     const std::string& name, const std::string& workload_name) {
-  core::TargetRegistry& registry = core::TargetRegistry::Instance();
-  core::RegisterBuiltinTargets(registry);
-  ASSIGN_OR_RETURN(auto target, registry.Create(name));
+  ASSIGN_OR_RETURN(auto target,
+                   core::TargetRegistry::Instance().Create(name));
   if (!workload_name.empty()) {
     if (EndsWith(workload_name, ".workload")) {
       ASSIGN_OR_RETURN(target::WorkloadSpec workload,
@@ -135,7 +134,6 @@ Result<std::unique_ptr<target::TargetSystemInterface>> MakeTarget(
 
 int CmdTargets() {
   core::TargetRegistry& registry = core::TargetRegistry::Instance();
-  core::RegisterBuiltinTargets(registry);
   std::printf("registered target systems:\n");
   for (const std::string& name : registry.Names()) {
     auto target = registry.Create(name);
@@ -215,10 +213,6 @@ int CmdRun(const Arguments& arguments, bool resume) {
 
   auto loaded = core::LoadCampaign(database, campaign_name);
   if (!loaded.ok()) return Fail(loaded.status());
-  auto target = MakeTarget(loaded->target, workload_file.empty()
-                                               ? loaded->workload
-                                               : workload_file);
-  if (!target.ok()) return Fail(target.status());
 
   const auto print_progress = [](core::ProgressInfo info) {
     if (info.experiments_done % 100 == 0 ||
@@ -257,39 +251,22 @@ int CmdRun(const Arguments& arguments, bool resume) {
   }
 
   // --jobs beats the campaign's `jobs` key; either way the database is
-  // bit-identical to a serial run (the sharded runner's guarantee).
+  // bit-identical to a one-worker run.
   const std::size_t jobs = arguments.jobs != 0 ? arguments.jobs : ini_jobs;
   std::signal(SIGINT, HandleDrainSignal);
   std::signal(SIGTERM, HandleDrainSignal);
+  core::CampaignRunner runner(&database, factory, jobs);
+  runner.set_controller(&g_run_controller);
+  runner.set_progress_callback(print_progress);
+  runner.set_checkpoint_fork(arguments.checkpoint);
   // With a WAL attached, checkpoints are cheap group-commit flushes, so
   // run them on a fixed cadence; legacy text databases keep the old
   // behaviour (no mid-campaign rewrites unless asked).
-  const bool wal = database.wal_attached();
-  auto run_campaign = [&]() -> Result<core::CampaignSummary> {
-    if (jobs > 1) {
-      std::printf("running with %zu workers\n", jobs);
-      core::ParallelCampaignRunner runner(&database, factory, jobs);
-      runner.set_controller(&g_run_controller);
-      runner.set_progress_callback(print_progress);
-      runner.set_checkpoint_fork(arguments.checkpoint);
-      if (wal) {
-        runner.set_checkpoint(arguments.db_dir, kCommitEveryExperiments);
-      }
-      return resume ? runner.Resume(campaign_name)
-                    : runner.Run(campaign_name);
-    }
-    core::CampaignRunner runner(&database, target->get());
-    runner.set_controller(&g_run_controller);
-    runner.set_target_factory(factory);
-    runner.set_progress_callback(print_progress);
-    runner.set_checkpoint_fork(arguments.checkpoint);
-    if (wal) {
-      runner.set_checkpoint(arguments.db_dir, kCommitEveryExperiments);
-    }
-    return resume ? runner.Resume(campaign_name)
-                  : runner.Run(campaign_name);
-  };
-  auto summary = run_campaign();
+  if (database.wal_attached()) {
+    runner.set_checkpoint(arguments.db_dir, kCommitEveryExperiments);
+  }
+  auto summary =
+      resume ? runner.Resume(campaign_name) : runner.Run(campaign_name);
   std::printf("\n");
   if (!summary.ok()) return Fail(summary.status());
   if (g_run_controller.drain_requested()) {

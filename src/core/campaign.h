@@ -75,9 +75,9 @@ struct CampaignConfig {
   // extrapolates class outcomes to the full space by class weight.
   bool use_equivalence = false;
 
-  // How many parallel workers execute the campaign (`jobs` key; 1 =
-  // the serial runner). An execution knob, not part of the campaign's
-  // identity: the sharded runner's determinism guarantee makes any
+  // How many workers execute the campaign (`jobs` key; 1 = inline on
+  // the calling thread). An execution knob, not part of the campaign's
+  // identity: the runner's determinism guarantee makes any
   // worker count produce the same database, so this is deliberately
   // NOT stored in CampaignData and never affects results.
   std::uint32_t jobs = 1;

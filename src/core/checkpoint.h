@@ -1,10 +1,10 @@
 // Golden-run checkpoint memoization for checkpoint-fork execution.
 //
 // PrepareCampaignRun records snapshots of the reference run once per
-// (campaign, workload); the campaign runners then start each experiment
+// (campaign, workload); the campaign runner then starts each experiment
 // from the checkpoint nearest below its injection trigger instead of
 // replaying the workload from reset. The store is immutable during the
-// experiment loop, so the sharded runner's workers all read one shared
+// experiment loop, so the runner's workers all read one shared
 // instance; each worker fronts it with its own CheckpointCache, which
 // memoizes the last lookup (trigger times drawn from one window usually
 // land in few distinct stride intervals) and tallies what forking saved.

@@ -136,7 +136,6 @@ Result<EquivalenceAudit> CrossCheckEquivalenceCampaign(
   // A fresh registry-built target, workload installed the same way the
   // campaign's runners install it. Replay-from-reset is bit-exact, so
   // checkpoint/fork settings of the original run are irrelevant here.
-  RegisterBuiltinTargets(TargetRegistry::Instance());
   ASSIGN_OR_RETURN(std::unique_ptr<target::TargetSystemInterface> target,
                    TargetRegistry::Instance().Create(config.target));
   RETURN_IF_ERROR(ConfigureTargetWorkload(config, target.get()).status());

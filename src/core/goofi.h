@@ -32,7 +32,6 @@
 #include "core/experiment_codec.h"
 #include "core/goofi_schema.h"
 #include "core/location.h"
-#include "core/parallel_runner.h"
 #include "core/plugin.h"
 #include "core/preinjection.h"
 #include "core/propagation.h"

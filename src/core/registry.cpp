@@ -6,33 +6,42 @@
 namespace goofi::core {
 
 TargetRegistry& TargetRegistry::Instance() {
-  static TargetRegistry* registry = new TargetRegistry();
+  static TargetRegistry* registry = [] {
+    auto* defaults = new TargetRegistry();
+    RegisterBuiltinTargets(*defaults);
+    for (Entry& entry : defaults->factories_) entry.is_default = true;
+    return defaults;
+  }();
   return *registry;
 }
 
 Status TargetRegistry::Register(const std::string& name, Factory factory) {
   if (name.empty()) return InvalidArgumentError("target name must not be empty");
   if (!factory) return InvalidArgumentError("null target factory");
-  for (const auto& [existing, unused] : factories_) {
-    if (existing == name) {
+  for (Entry& entry : factories_) {
+    if (entry.name != name) continue;
+    if (!entry.is_default) {
       return AlreadyExistsError("target '" + name + "' already registered");
     }
+    entry.factory = std::move(factory);
+    entry.is_default = false;
+    return Status::Ok();
   }
-  factories_.emplace_back(name, std::move(factory));
+  factories_.push_back({name, std::move(factory)});
   return Status::Ok();
 }
 
 bool TargetRegistry::Has(const std::string& name) const {
-  for (const auto& [existing, unused] : factories_) {
-    if (existing == name) return true;
+  for (const Entry& entry : factories_) {
+    if (entry.name == name) return true;
   }
   return false;
 }
 
 Result<std::unique_ptr<target::TargetSystemInterface>> TargetRegistry::Create(
     const std::string& name) const {
-  for (const auto& [existing, factory] : factories_) {
-    if (existing == name) return factory();
+  for (const Entry& entry : factories_) {
+    if (entry.name == name) return entry.factory();
   }
   return NotFoundError("no registered target '" + name + "'");
 }
@@ -40,7 +49,7 @@ Result<std::unique_ptr<target::TargetSystemInterface>> TargetRegistry::Create(
 std::vector<std::string> TargetRegistry::Names() const {
   std::vector<std::string> names;
   names.reserve(factories_.size());
-  for (const auto& [name, unused] : factories_) names.push_back(name);
+  for (const Entry& entry : factories_) names.push_back(entry.name);
   return names;
 }
 

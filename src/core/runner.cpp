@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "analysis/equivalence.h"
 #include "analysis/static_liveness.h"
@@ -24,6 +27,13 @@ using LocationInfo = target::TargetSystemInterface::LocationInfo;
 CampaignRunner::CampaignRunner(db::Database* database,
                                target::TargetSystemInterface* target)
     : database_(database), target_(target) {}
+
+CampaignRunner::CampaignRunner(db::Database* database,
+                               target::TargetFactory factory,
+                               std::size_t jobs)
+    : database_(database),
+      target_factory_(std::move(factory)),
+      jobs_(std::max<std::size_t>(1, jobs)) {}
 
 Result<target::WorkloadSpec> ConfigureTargetWorkload(
     const CampaignConfig& config, target::TargetSystemInterface* target) {
@@ -472,6 +482,343 @@ Result<PreparedCampaign> PrepareCampaignRun(
   return prepared;
 }
 
+// ---- the experiment pipeline ---------------------------------------------
+// One campaign loop in two halves: ExperimentExecutors turn plan indices
+// into ExperimentResults on their own targets, and one CampaignWriter
+// consumes those results in canonical plan order. The writer is the
+// only code that touches the database during the loop, and everything
+// it logs or counts comes from the result, so the database and the
+// summary are the same whichever executor ran an index.
+namespace {
+
+// One plan index's outcome, handed from an executor to the writer.
+struct ExperimentResult {
+  bool skipped = false;  // resume: already logged, nothing was run
+  target::ExperimentSpec spec;
+  // Valid only when disposition.completed().
+  target::Observation observation;
+  ExperimentDisposition disposition;
+  std::uint64_t resamples = 0;
+  // Equivalence mode: the index's class verdict (null = mode off). A
+  // duplicate ran nothing; the writer logs a stub row pointing at the
+  // class representative.
+  const PlannedEquivalence* equivalence = nullptr;
+  bool duplicate = false;
+  // Checkpoint-fork accounting.
+  bool forked = false;
+  std::uint64_t instructions_skipped = 0;  // the fork's checkpoint instret
+  std::uint64_t trigger_instructions = 0;  // instret triggers only
+};
+
+// What every executor of one run shares, read-only.
+struct ExecutionContext {
+  ExperimentPlan plan;
+  SupervisionPolicy policy;
+  target::TargetFactory factory;  // empty: the borrowed target is reused
+  std::vector<char> already_logged;  // resume: indexed by plan index
+};
+
+// Runs plan indices on one TargetSlot. An empty slot is filled from
+// the factory on the first experiment that needs a target.
+class ExperimentExecutor {
+ public:
+  ExperimentExecutor(const ExecutionContext& context, TargetSlot slot)
+      : context_(context),
+        slot_(std::move(slot)),
+        fork_cache_(context.plan.checkpoints) {}
+
+  // A non-ok Result is campaign-fatal. Retryable tool-level failures
+  // (hang, target fault, transport error) are consumed by supervision
+  // and surface as the result's disposition instead.
+  Result<ExperimentResult> Execute(std::size_t index) {
+    ExperimentResult result;
+    if (context_.already_logged[index]) {
+      // Per-experiment RNG streams keep the rest of the plan identical
+      // to an uninterrupted run without replaying this one's draws.
+      result.skipped = true;
+      return result;
+    }
+    const ExperimentPlan& plan = context_.plan;
+    ASSIGN_OR_RETURN(result.spec,
+                     SampleExperimentSpec(plan, index, &result.resamples));
+    if (plan.equivalence != nullptr && index < plan.equivalence->size()) {
+      result.equivalence = &(*plan.equivalence)[index];
+      if (result.equivalence->representative != index) {
+        // A duplicate of an earlier representative: the class's outcome
+        // is (provably) the representative's, so no injection runs. The
+        // representative's index is lower, so the writer has already
+        // logged its row when it reaches this stub.
+        result.duplicate = true;
+        result.disposition.attempts = 0;
+        result.disposition.tool_status = kToolStatusEquivalent;
+        return result;
+      }
+    }
+    std::shared_ptr<const sim::Snapshot> start_snapshot;
+    if (result.spec.trigger.kind == sim::Breakpoint::Kind::kInstretReached) {
+      result.trigger_instructions = result.spec.trigger.count;
+      start_snapshot = fork_cache_.ForTrigger(result.spec.trigger.count);
+      if (start_snapshot != nullptr) {
+        result.forked = true;
+        result.instructions_skipped = start_snapshot->instret;
+      }
+    }
+    if (slot_.get() == nullptr) {
+      ASSIGN_OR_RETURN(std::unique_ptr<target::TargetSystemInterface> minted,
+                       context_.factory());
+      RETURN_IF_ERROR(
+          ConfigureTargetWorkload(*plan.config, minted.get()).status());
+      slot_ = TargetSlot::Own(std::move(minted));
+    }
+    ASSIGN_OR_RETURN(SupervisedOutcome outcome,
+                     RunSupervisedExperiment(slot_, result.spec, *plan.config,
+                                             context_.policy,
+                                             context_.factory,
+                                             std::move(start_snapshot)));
+    result.disposition = std::move(outcome.disposition);
+    if (result.disposition.completed()) {
+      result.observation = std::move(outcome.observation);
+    }
+    return result;
+  }
+
+ private:
+  const ExecutionContext& context_;
+  TargetSlot slot_;
+  // This executor's view of the shared checkpoint store (misses
+  // everything when the plan holds none). A quarantine-replaced
+  // instance restores the same shared snapshot, so it survives
+  // re-minting.
+  CheckpointCache fork_cache_;
+};
+
+// Logs results in canonical plan order and owns the run's accounting:
+// summary totals, progress snapshots, the commit cadence and the final
+// campaign status.
+class CampaignWriter {
+ public:
+  CampaignWriter(db::Database& database, CampaignSummary summary,
+                 std::size_t total, const ProgressCallback& progress,
+                 const std::string& checkpoint_directory,
+                 std::size_t checkpoint_every)
+      : database_(database),
+        summary_(std::move(summary)),
+        total_(total),
+        progress_(progress),
+        checkpoint_directory_(checkpoint_directory),
+        checkpoint_every_(checkpoint_every) {
+    info_.experiments_total = total;
+  }
+
+  // Log the next plan index's result. An error leaves every earlier
+  // row logged and ends the run.
+  Status Write(const ExperimentResult& result) {
+    if (result.skipped) {
+      ++skipped_;
+      ++info_.experiments_done;
+      return Status::Ok();
+    }
+    const std::string& campaign = summary_.campaign_name;
+    const bool completed = result.disposition.completed();
+    RETURN_IF_ERROR(LogExperimentObservation(
+        database_, result.spec.name,
+        result.duplicate
+            ? ExperimentName(campaign, result.equivalence->representative)
+            : "",
+        campaign, &result.spec, completed ? &result.observation : nullptr,
+        &result.disposition, result.equivalence));
+    ++summary_.experiments_run;
+    summary_.preinjection_resamples += result.resamples;
+    if (!result.duplicate) {
+      // A duplicate stub is a processed experiment, but never a retried,
+      // abandoned or quarantining one.
+      summary_.experiment_retries += result.disposition.attempts - 1;
+      summary_.targets_quarantined += result.disposition.quarantined;
+      if (!completed) ++summary_.experiments_abandoned;
+    }
+    if (result.forked) ++summary_.checkpoint_forks;
+    summary_.instructions_skipped += result.instructions_skipped;
+    summary_.trigger_instructions_total += result.trigger_instructions;
+
+    info_.experiments_done = skipped_ + summary_.experiments_run;
+    info_.experiment_retries = summary_.experiment_retries;
+    info_.experiments_abandoned = summary_.experiments_abandoned;
+    info_.targets_quarantined = summary_.targets_quarantined;
+    info_.checkpoint_forks = summary_.checkpoint_forks;
+    info_.instructions_skipped = summary_.instructions_skipped;
+    if (completed && result.observation.fault_was_injected) {
+      ++info_.faults_injected;
+    }
+    info_.current_experiment = result.spec.name;
+    Heartbeat();
+    if (checkpoint_every_ != 0 &&
+        summary_.experiments_run % checkpoint_every_ == 0) {
+      RETURN_IF_ERROR(database_.Persist(checkpoint_directory_));
+    }
+    return Status::Ok();
+  }
+
+  // Emit the current progress snapshot (a value copy) again; the pause
+  // loops call this so a paused campaign still reports.
+  void Heartbeat() const {
+    if (progress_) progress_(info_);
+  }
+
+  Result<CampaignSummary> Finish(const CampaignController* controller) {
+    const std::size_t done = skipped_ + summary_.experiments_run;
+    summary_.experiments_stopped_early = total_ - done;
+    // A drain ends the run at its last cadence checkpoint: writing the
+    // "stopped" row here (or committing the partial batch) would make
+    // the database diverge from a SIGKILL at that commit, and the
+    // eventual resumed run would no longer be byte-identical to an
+    // uninterrupted one. The uncommitted tail is discarded with the
+    // Database object.
+    if (controller != nullptr && controller->drain_requested()) {
+      return summary_;
+    }
+    RETURN_IF_ERROR(UpdateCampaignRunStatus(
+        database_, summary_.campaign_name,
+        summary_.experiments_stopped_early > 0 ? "stopped" : "completed",
+        done));
+    return summary_;
+  }
+
+ private:
+  db::Database& database_;
+  CampaignSummary summary_;
+  const std::size_t total_;
+  const ProgressCallback& progress_;
+  const std::string& checkpoint_directory_;
+  const std::size_t checkpoint_every_;
+  std::size_t skipped_ = 0;
+  ProgressInfo info_;
+};
+
+bool Paused(const CampaignController* controller) {
+  return controller != nullptr && controller->paused() &&
+         !controller->stopped();
+}
+
+bool Stopped(const CampaignController* controller) {
+  return controller != nullptr && controller->stopped();
+}
+
+// One worker: the executor runs on the calling thread right before each
+// writer step, so Fig. 7's pause and stop take effect exactly between
+// two experiments.
+Status RunInline(const ExecutionContext& context, TargetSlot slot,
+                 CampaignWriter& writer, CampaignController* controller) {
+  ExperimentExecutor executor(context, std::move(slot));
+  const std::size_t total = context.plan.config->num_experiments;
+  for (std::size_t i = 0; i < total; ++i) {
+    while (Paused(controller)) {
+      writer.Heartbeat();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (Stopped(controller)) break;
+    ASSIGN_OR_RETURN(const ExperimentResult result, executor.Execute(i));
+    RETURN_IF_ERROR(writer.Write(result));
+  }
+  return Status::Ok();
+}
+
+// N workers: each claims the next plan index, runs it on its own
+// minted target and parks the result in a reorder buffer; the calling
+// thread writes the buffer out in canonical order. Claims are strictly
+// in order and every claim produces a result, so a stop or an error
+// leaves a contiguous logged prefix, as a one-worker run would.
+Status RunFleet(const ExecutionContext& context, std::size_t workers,
+                CampaignWriter& writer, CampaignController* controller) {
+  // Keep the reorder buffer bounded: no claim may run more than
+  // `window` indices ahead of the canonical cursor. The worker holding
+  // the cursor's index has always claimed it already, so the cursor
+  // can always advance and the throttle cannot deadlock.
+  constexpr std::size_t kClaimWindowPerWorker = 8;
+  const std::size_t window =
+      std::max<std::size_t>(64, kClaimWindowPerWorker * workers);
+  const std::size_t total = context.plan.config->num_experiments;
+
+  std::mutex mutex;  // guards everything below
+  std::condition_variable results_ready;  // the writer waits on this
+  std::condition_variable claims_open;    // throttled workers wait on this
+  std::map<std::size_t, Result<ExperimentResult>> results;
+  std::size_t next_to_claim = 0;
+  std::size_t next_to_log = 0;  // the canonical cursor
+  std::size_t exited = 0;
+  bool abort = false;  // a fatal result or writer error: stop claiming
+
+  auto worker_main = [&] {
+    ExperimentExecutor executor(context, TargetSlot());
+    for (;;) {
+      // Fig. 7 pause applies fleet-wide: every worker blocks between
+      // experiments while the writer keeps emitting heartbeats.
+      while (Paused(controller)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      std::size_t index;
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        // wait_for, so an external Stop() is noticed even though it
+        // cannot notify our condition variable.
+        while (!abort && next_to_claim < total && !Stopped(controller) &&
+               next_to_claim >= next_to_log + window) {
+          claims_open.wait_for(lock, std::chrono::milliseconds(5));
+        }
+        if (abort || next_to_claim >= total || Stopped(controller)) {
+          ++exited;
+          results_ready.notify_all();
+          return;
+        }
+        index = next_to_claim++;
+      }
+      Result<ExperimentResult> result = executor.Execute(index);
+      std::lock_guard<std::mutex> lock(mutex);
+      // Indices below a fatal one are all claimed and still arrive, so
+      // the writer logs every row a one-worker run would have logged.
+      abort = abort || !result.ok();
+      results.emplace(index, std::move(result));
+      results_ready.notify_all();
+    }
+  };
+  std::vector<std::thread> fleet;
+  fleet.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) fleet.emplace_back(worker_main);
+
+  Status status = Status::Ok();
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    for (;;) {
+      auto it = results.find(next_to_log);
+      if (it == results.end()) {
+        if (exited == workers) break;
+        if (Paused(controller)) {
+          lock.unlock();
+          writer.Heartbeat();
+          lock.lock();
+        }
+        results_ready.wait_for(lock, std::chrono::milliseconds(5));
+        continue;
+      }
+      Result<ExperimentResult> result = std::move(it->second);
+      results.erase(it);
+      ++next_to_log;
+      claims_open.notify_all();
+      lock.unlock();
+      status = result.ok() ? writer.Write(*result) : result.status();
+      lock.lock();
+      if (!status.ok()) {
+        abort = true;
+        claims_open.notify_all();
+        break;
+      }
+    }
+  }
+  for (std::thread& thread : fleet) thread.join();
+  return status;
+}
+
+}  // namespace
+
 Result<CampaignSummary> CampaignRunner::Run(
     const std::string& campaign_name) {
   return RunInternal(campaign_name, /*resume=*/false);
@@ -484,143 +831,54 @@ Result<CampaignSummary> CampaignRunner::Resume(
 
 Result<CampaignSummary> CampaignRunner::RunInternal(
     const std::string& campaign_name, bool resume) {
-  ASSIGN_OR_RETURN(PreparedCampaign prepared,
-                   PrepareCampaignRun(*database_, target_, campaign_name,
-                                      resume, checkpoint_override_));
-  const CampaignConfig& config = prepared.config;
-  CampaignSummary& summary = prepared.summary;
-  const ExperimentPlan plan = prepared.MakePlan();
-  const db::Table* logged = database_->FindTable(kLoggedSystemStateTable);
-  const SupervisionPolicy policy =
-      ResolveSupervisionPolicy(config, prepared.workload_termination);
-  // Checkpoint-fork lookup cache (misses everything when the plan holds
-  // no checkpoints, i.e. the mode is off or the campaign is ineligible).
-  CheckpointCache fork_cache(plan.checkpoints);
-
-  // The slot the supervised experiments run on. With a factory the
-  // runner mints its own instance (abandonable on a watchdog trip and
-  // replaceable under quarantine); without one it borrows the
-  // caller-owned target, which can only be reused.
-  TargetSlot slot = TargetSlot::Borrow(target_);
-  if (target_factory_) {
+  // The reference run happens once, on the caller's target or on one
+  // the factory mints.
+  TargetSlot reference = TargetSlot::Borrow(target_);
+  if (target_ == nullptr) {
+    if (!target_factory_) {
+      return FailedPreconditionError("runner has no target and no factory");
+    }
     ASSIGN_OR_RETURN(std::unique_ptr<target::TargetSystemInterface> minted,
                      target_factory_());
-    RETURN_IF_ERROR(ConfigureTargetWorkload(config, minted.get()).status());
-    slot = TargetSlot::Own(std::move(minted));
+    reference = TargetSlot::Own(std::move(minted));
   }
-
-  // ---- the experiment loop ---------------------------------------------
-  ProgressInfo progress;
-  progress.experiments_total = config.num_experiments;
-  std::size_t skipped_existing = 0;
-  for (std::size_t i = 0; i < config.num_experiments; ++i) {
-    // Fig. 7 controls: pause blocks between experiments; stop ends the
-    // campaign but keeps everything logged so far.
-    while (controller_ != nullptr && controller_->paused() &&
-           !controller_->stopped()) {
-      if (progress_) progress_(progress);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    if (controller_ != nullptr && controller_->stopped()) {
-      summary.experiments_stopped_early = config.num_experiments - i;
-      break;
-    }
-
-    if (resume &&
-        logged->FindByUnique(0, db::Value::Text_(ExperimentName(
-                                    campaign_name, i))).has_value()) {
-      // Already ran before the campaign was stopped; per-experiment RNG
-      // streams keep the remaining plan identical to an uninterrupted
-      // run without replaying this experiment's draws.
-      ++skipped_existing;
-      ++progress.experiments_done;
-      continue;
-    }
-    ASSIGN_OR_RETURN(
-        target::ExperimentSpec spec,
-        SampleExperimentSpec(plan, i, &summary.preinjection_resamples));
-    const PlannedEquivalence* equiv =
-        plan.equivalence != nullptr && i < plan.equivalence->size()
-            ? &(*plan.equivalence)[i]
-            : nullptr;
-    if (equiv != nullptr && equiv->representative != i) {
-      // A duplicate of an earlier representative: the class's outcome is
-      // (provably) the representative's, so no injection runs — only a
-      // stub row pointing at it. The representative's plan index is
-      // always lower, so its row is already logged (serial) or will be
-      // logged earlier in canonical order (sharded writer).
-      ExperimentDisposition stub;
-      stub.attempts = 0;
-      stub.tool_status = kToolStatusEquivalent;
-      RETURN_IF_ERROR(LogExperimentObservation(
-          *database_, spec.name,
-          ExperimentName(campaign_name, equiv->representative),
-          campaign_name, &spec, nullptr, &stub, equiv));
-      ++summary.experiments_run;
-      progress.experiments_done = skipped_existing + summary.experiments_run;
-      progress.current_experiment = spec.name;
-      if (progress_) progress_(progress);
-      if (checkpoint_every_ != 0 &&
-          summary.experiments_run % checkpoint_every_ == 0) {
-        RETURN_IF_ERROR(database_->Persist(checkpoint_directory_));
-      }
-      continue;
-    }
-    std::shared_ptr<const sim::Snapshot> start_snapshot;
-    if (spec.trigger.kind == sim::Breakpoint::Kind::kInstretReached) {
-      summary.trigger_instructions_total += spec.trigger.count;
-      start_snapshot = fork_cache.ForTrigger(spec.trigger.count);
-    }
-    // Fail-soft: a retryable tool-level failure (hang, target fault,
-    // transport error) consumes attempts and possibly quarantines the
-    // instance, but never the rest of the campaign — an abandoned
-    // experiment logs its disposition with a NULL observation and the
-    // loop moves on. Only non-retryable errors abort the run.
-    ASSIGN_OR_RETURN(SupervisedOutcome outcome,
-                     RunSupervisedExperiment(slot, spec, config, policy,
-                                             target_factory_,
-                                             start_snapshot));
-    const bool completed = outcome.disposition.completed();
-    RETURN_IF_ERROR(LogExperimentObservation(
-        *database_, spec.name, "", campaign_name, &spec,
-        completed ? &outcome.observation : nullptr, &outcome.disposition,
-        equiv));
-    ++summary.experiments_run;
-    summary.experiment_retries += outcome.disposition.attempts - 1;
-    summary.targets_quarantined += outcome.disposition.quarantined;
-    if (!completed) ++summary.experiments_abandoned;
-    progress.experiments_done = skipped_existing + summary.experiments_run;
-    progress.experiment_retries = summary.experiment_retries;
-    progress.experiments_abandoned = summary.experiments_abandoned;
-    progress.targets_quarantined = summary.targets_quarantined;
-    summary.checkpoint_forks = fork_cache.forks();
-    summary.instructions_skipped = fork_cache.instructions_skipped();
-    progress.checkpoint_forks = summary.checkpoint_forks;
-    progress.instructions_skipped = summary.instructions_skipped;
-    if (completed && outcome.observation.fault_was_injected) {
-      ++progress.faults_injected;
-    }
-    progress.current_experiment = spec.name;
-    if (progress_) progress_(progress);
-    if (checkpoint_every_ != 0 &&
-        summary.experiments_run % checkpoint_every_ == 0) {
-      RETURN_IF_ERROR(database_->Persist(checkpoint_directory_));
+  ASSIGN_OR_RETURN(PreparedCampaign prepared,
+                   PrepareCampaignRun(*database_, reference.get(),
+                                      campaign_name, resume,
+                                      checkpoint_override_));
+  const std::size_t total = prepared.config.num_experiments;
+  ExecutionContext context{
+      prepared.MakePlan(),
+      ResolveSupervisionPolicy(prepared.config,
+                               prepared.workload_termination),
+      target_factory_, std::vector<char>(total, 0)};
+  if (resume) {
+    // Canonical names decide what is already logged, no matter which
+    // worker (or how many) logged it before the interruption. Computed
+    // up front so executors never touch the database.
+    const db::Table* logged = database_->FindTable(kLoggedSystemStateTable);
+    for (std::size_t i = 0; i < total; ++i) {
+      context.already_logged[i] =
+          logged->FindByUnique(0, Value::Text_(ExperimentName(
+                                      campaign_name, i)))
+              .has_value();
     }
   }
+  CampaignWriter writer(*database_, std::move(prepared.summary), total,
+                        progress_, checkpoint_directory_, checkpoint_every_);
 
-  // A drain ends the run at its last cadence checkpoint: writing the
-  // "stopped" row here (or committing the partial batch) would make the
-  // database diverge from a SIGKILL at that commit, and the eventual
-  // resumed run would no longer be byte-identical to an uninterrupted
-  // one. The uncommitted tail is discarded with the Database object.
-  if (controller_ != nullptr && controller_->drain_requested()) {
-    return summary;
+  const std::size_t workers =
+      std::max<std::size_t>(1, std::min<std::size_t>(jobs_, total));
+  if (workers > 1) {
+    RETURN_IF_ERROR(RunFleet(context, workers, writer, controller_));
+  } else {
+    // The reference target runs the experiments too, unless it is the
+    // caller's and a factory can mint an abandonable one instead.
+    if (!reference.abandonable() && target_factory_) reference = TargetSlot();
+    RETURN_IF_ERROR(
+        RunInline(context, std::move(reference), writer, controller_));
   }
-  RETURN_IF_ERROR(UpdateCampaignRunStatus(
-      *database_, campaign_name,
-      summary.experiments_stopped_early > 0 ? "stopped" : "completed",
-      skipped_existing + summary.experiments_run));
-  return summary;
+  return writer.Finish(controller_);
 }
 
 Result<CampaignSummary> CampaignRunner::FaultInjectorSCIFI(
@@ -662,8 +920,14 @@ Result<std::string> CampaignRunner::ReRunInDetailMode(
                    ParseExperimentSpec(experiment_data));
   ASSIGN_OR_RETURN(CampaignConfig config,
                    LoadCampaign(*database_, campaign_name));
+  TargetSlot slot = TargetSlot::Borrow(target_);
+  if (target_ == nullptr) {
+    ASSIGN_OR_RETURN(std::unique_ptr<target::TargetSystemInterface> minted,
+                     target_factory_());
+    slot = TargetSlot::Own(std::move(minted));
+  }
   ASSIGN_OR_RETURN(const target::WorkloadSpec workload,
-                   ConfigureTargetWorkload(config, target_));
+                   ConfigureTargetWorkload(config, slot.get()));
 
   // Unique child name: count existing children of this experiment.
   std::size_t child_count = 0;
@@ -684,11 +948,12 @@ Result<std::string> CampaignRunner::ReRunInDetailMode(
   detail_config.logging_mode = target::LoggingMode::kDetail;
   const SupervisionPolicy policy =
       ResolveSupervisionPolicy(detail_config, workload.termination);
-  TargetSlot slot = TargetSlot::Borrow(target_);
   ASSIGN_OR_RETURN(SupervisedOutcome outcome,
                    RunSupervisedExperiment(slot, spec, detail_config, policy,
                                            target_factory_));
-  target_->set_logging_mode(target::LoggingMode::kNormal);
+  if (target_ != nullptr) {
+    target_->set_logging_mode(target::LoggingMode::kNormal);
+  }
   const bool completed = outcome.disposition.completed();
   RETURN_IF_ERROR(LogExperimentObservation(
       *database_, child_name, experiment_name, campaign_name, &spec,

@@ -13,10 +13,17 @@
 // The experiment plan is *deterministic per experiment*: experiment i
 // draws its fault from the RNG stream (campaign seed, i), never from a
 // shared sequential stream. That makes the plan a pure function of the
-// stored campaign row — Resume() regenerates it after a crash, and the
-// sharded ParallelCampaignRunner (core/parallel_runner.h) samples it
-// out of order on worker threads yet logs a database bit-identical to
-// a serial run.
+// stored campaign row — Resume() regenerates it after a crash, and a
+// runner with N workers samples it out of order on worker threads yet
+// logs a database bit-identical to a one-worker run.
+//
+// There is one campaign loop. An experiment executor samples, runs and
+// supervises plan indices on its own target; a single writer logs the
+// results in canonical plan order and does all summary, progress and
+// commit accounting. The worker count (`jobs`) only decides how the two
+// are driven — inline on the calling thread, or by a worker fleet
+// feeding the writer through a bounded reorder buffer — so it is a pure
+// execution choice, invisible in the results database.
 //
 // Progress reporting and pause/stop mirror the paper's progress window
 // ("getting information about the number of faults injected and also to
@@ -42,7 +49,7 @@
 namespace goofi::core {
 
 // Fig. 7's pause/restart/end controls, usable from another thread. One
-// controller may steer a serial runner or a whole worker fleet: every
+// controller may steer a one-worker run or a whole worker fleet: every
 // worker polls it between experiments.
 class CampaignController {
  public:
@@ -177,8 +184,8 @@ struct ExperimentPlan {
 };
 
 // The canonical name of experiment `index`: "<campaign>/exp00042".
-// Resume() and the sharded runner identify already-logged experiments
-// by this name, regardless of which worker logged them.
+// Resume() identifies already-logged experiments by this name,
+// regardless of which worker (or how many) logged them.
 std::string ExperimentName(const std::string& campaign_name,
                            std::size_t index);
 
@@ -190,7 +197,7 @@ Result<target::ExperimentSpec> SampleExperimentSpec(
 
 // Check the campaign/target pairing, resolve the campaign's workload,
 // install it on `target` and return it (the static analysis re-reads
-// its assembly). Each parallel worker runs this against its own target
+// its assembly). Every worker runs this against its own target
 // instance.
 Result<target::WorkloadSpec> ConfigureTargetWorkload(
     const CampaignConfig& config, target::TargetSystemInterface* target);
@@ -276,9 +283,20 @@ class CampaignRunner {
  public:
   // `database` and `target` must outlive the runner. The target must
   // already have its workload configured *or* the campaign's workload
-  // must name a built-in one (then the runner configures it).
+  // must name a built-in one (then the runner configures it). The
+  // target makes the reference run and, unless set_target_factory()
+  // gives the runner a way to mint abandonable instances, every
+  // experiment as well. Runs use one worker.
   CampaignRunner(db::Database* database,
                  target::TargetSystemInterface* target);
+
+  // A runner that mints every target it uses from `factory`: one for
+  // the reference run and one per worker. `jobs` is the worker count
+  // (clamped to >= 1). The database is only ever touched from the
+  // thread that calls Run()/Resume() (the single writer), and it comes
+  // out bit-identical at every worker count.
+  CampaignRunner(db::Database* database, target::TargetFactory factory,
+                 std::size_t jobs);
 
   void set_progress_callback(ProgressCallback callback) {
     progress_ = std::move(callback);
@@ -288,11 +306,12 @@ class CampaignRunner {
   }
 
   // Crash tolerance for long campaigns: persist the database to
-  // `directory` after every `every_n` logged experiments. When the
-  // database has a WAL attached to `directory` this is a group-commit
-  // flush (append + sync of the batched rows); otherwise it rewrites
-  // the legacy text format. After a crash, Open() the checkpoint
-  // directory and Resume() the campaign.
+  // `directory` after every `every_n` logged experiments, counted in
+  // canonical order. When the database has a WAL attached to
+  // `directory` this is a group-commit flush (append + sync of the
+  // batched rows) whose bytes do not depend on the worker count;
+  // otherwise it rewrites the legacy text format. After a crash, Open()
+  // the checkpoint directory and Resume() the campaign.
   void set_checkpoint(std::string directory, std::size_t every_n) {
     checkpoint_directory_ = std::move(directory);
     checkpoint_every_ = every_n;
@@ -321,7 +340,8 @@ class CampaignRunner {
   // Continue a previously stopped campaign: already-logged experiments
   // are skipped (every experiment's spec regenerates independently from
   // its (seed, index) stream), the remainder runs and logs as usual.
-  // Running campaigns to completion twice is a no-op.
+  // The worker count may differ from the interrupted run's. Running
+  // campaigns to completion twice is a no-op.
   Result<CampaignSummary> Resume(const std::string& campaign_name);
 
   // Paper-named wrappers; each checks that the stored campaign uses the
@@ -339,13 +359,17 @@ class CampaignRunner {
                                       bool resume);
 
   db::Database* database_;
-  target::TargetSystemInterface* target_;
+  target::TargetSystemInterface* target_ = nullptr;
   target::TargetFactory target_factory_;
+  std::size_t jobs_ = 1;
   ProgressCallback progress_;
   CampaignController* controller_ = nullptr;
   std::string checkpoint_directory_;
   std::size_t checkpoint_every_ = 0;
   std::optional<bool> checkpoint_override_;
 };
+
+// The runner under its sharded-execution name.
+using ParallelCampaignRunner = CampaignRunner;
 
 }  // namespace goofi::core

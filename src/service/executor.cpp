@@ -39,9 +39,8 @@ Result<db::Database> OpenOrCreate(const std::string& dir) {
 
 Result<std::unique_ptr<target::TargetSystemInterface>> MakeTarget(
     const std::string& name, const std::string& workload_name) {
-  core::TargetRegistry& registry = core::TargetRegistry::Instance();
-  core::RegisterBuiltinTargets(registry);
-  ASSIGN_OR_RETURN(auto target, registry.Create(name));
+  ASSIGN_OR_RETURN(auto target,
+                   core::TargetRegistry::Instance().Create(name));
   if (!workload_name.empty()) {
     if (EndsWith(workload_name, ".workload")) {
       ASSIGN_OR_RETURN(target::WorkloadSpec workload,
@@ -119,26 +118,15 @@ Result<core::CampaignSummary> ExecuteSubmission(
   target::TargetFactory factory = [name = config.target, workload_file]() {
     return MakeTarget(name, workload_file);
   };
-  const std::size_t jobs = request.jobs == 0 ? 1 : request.jobs;
-  const bool wal = database.wal_attached();
-
-  auto run = [&]() -> Result<core::CampaignSummary> {
-    if (jobs > 1) {
-      core::ParallelCampaignRunner runner(&database, factory, jobs);
-      runner.set_controller(request.controller);
-      if (request.progress) runner.set_progress_callback(request.progress);
-      if (wal) runner.set_checkpoint(request.db_dir, kCommitEveryExperiments);
-      return resume ? runner.Resume(config.name) : runner.Run(config.name);
-    }
-    ASSIGN_OR_RETURN(auto target, MakeTarget(config.target, workload_file));
-    core::CampaignRunner runner(&database, target.get());
-    runner.set_target_factory(factory);
-    runner.set_controller(request.controller);
-    if (request.progress) runner.set_progress_callback(request.progress);
-    if (wal) runner.set_checkpoint(request.db_dir, kCommitEveryExperiments);
-    return resume ? runner.Resume(config.name) : runner.Run(config.name);
-  };
-  ASSIGN_OR_RETURN(core::CampaignSummary summary, run());
+  core::CampaignRunner runner(&database, factory, request.jobs);
+  runner.set_controller(request.controller);
+  if (request.progress) runner.set_progress_callback(request.progress);
+  if (database.wal_attached()) {
+    runner.set_checkpoint(request.db_dir, kCommitEveryExperiments);
+  }
+  ASSIGN_OR_RETURN(core::CampaignSummary summary,
+                   resume ? runner.Resume(config.name)
+                          : runner.Run(config.name));
 
   // Drain: leave the database exactly at its last cadence commit. The
   // closing Persist would flush the partial batch and shift every

@@ -32,7 +32,7 @@ struct ExecutionRequest {
   std::string db_dir;       // results database directory
   std::string config_text;  // campaign ini (with its [campaign] section)
   // Worker allocation from the fleet scheduler (>= 1). Worker count
-  // never affects the database bytes (the sharded runner's guarantee),
+  // never affects the database bytes (core/runner.h's guarantee),
   // so the scheduler may allocate differently across daemon lives.
   std::size_t jobs = 1;
   core::CampaignController* controller = nullptr;  // may be null

@@ -3,9 +3,9 @@
 //
 // The paper's tool owns exactly one target system (a physical board on
 // a test card). Our targets are simulated in-process, so nothing stops
-// a campaign from running against N of them at once — each parallel
-// campaign worker (core/parallel_runner.h) asks the factory for its own
-// instance and drives it without any sharing: own test card, own CPU
+// a campaign from running against N of them at once — each campaign
+// worker (core::CampaignRunner at jobs = N, core/runner.h) asks the
+// factory for its own instance and drives it without any sharing: own test card, own CPU
 // and scan chains, and — once a workload naming a plant model is
 // installed — own environment (target/environment.h). Workload
 // installation stays per instance, exactly as SetWorkload on a single
@@ -35,8 +35,7 @@ Result<TargetFactory> BuiltinTargetFactory(const std::string& target_name);
 
 // Wrap `factory` so every minted instance also gets `workload`
 // installed (a per-worker copy; targets assemble their own image from
-// it). This is the hook the sharded campaign runner uses to give each
-// worker a ready-to-run target.
+// it): a ready-to-run target for every campaign worker.
 TargetFactory WithWorkload(TargetFactory factory, WorkloadSpec workload);
 
 }  // namespace goofi::target

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/goofi_schema.h"
-#include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "target/flaky_target.h"
 #include "target/framework_target.h"

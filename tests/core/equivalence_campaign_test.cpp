@@ -11,7 +11,6 @@
 #include "core/campaign.h"
 #include "core/crosscheck.h"
 #include "core/goofi_schema.h"
-#include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "core/supervision.h"
 #include "db/sql/executor.h"

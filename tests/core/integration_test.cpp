@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "core/goofi.h"
+#include "test_util/temp_dir.h"
 
 namespace goofi::core {
 namespace {
@@ -96,7 +97,7 @@ TEST_F(IntegrationTest, DatabaseSurvivesSaveAndLoadBetweenPhases) {
   ASSERT_TRUE(runner.Run("it_persist").ok());
 
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_integration_db").string();
+      (test_util::ProcessTempDir() / "goofi_integration_db").string();
   fs::remove_all(dir);
   ASSERT_TRUE(database_.SaveToDirectory(dir).ok());
   auto reloaded = db::Database::LoadFromDirectory(dir);

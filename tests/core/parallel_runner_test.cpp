@@ -1,11 +1,12 @@
 // The serial-equivalence proof suite for sharded campaign execution:
-// a ParallelCampaignRunner with any worker count must produce a
-// database bit-identical to the serial CampaignRunner's — same
-// LoggedSystemState rows in the same order, same CampaignData state,
-// same outcome classification — plus the fleet-wide control-and-resume
-// behaviours (pause/stop under fire, sharded resume with a different
-// worker count, value-copied progress snapshots).
-#include "core/parallel_runner.h"
+// a CampaignRunner at any worker count, fed a borrowed target or a
+// factory, must produce a database bit-identical to the one-worker
+// borrowed-target run's — same LoggedSystemState rows in the same
+// order, same CampaignData state, same outcome classification, same
+// CampaignSummary — plus the fleet-wide control-and-resume behaviours
+// (pause/stop under fire, sharded resume with a different worker
+// count, value-copied progress snapshots).
+#include "core/runner.h"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -77,50 +79,111 @@ class ParallelRunnerTest : public ::testing::Test {
   }
 };
 
+// Every CampaignSummary field, so a counter that one way of driving the
+// runner computes differently cannot hide behind equal databases.
+void ExpectSameSummary(const CampaignSummary& actual,
+                       const CampaignSummary& expected,
+                       const std::string& label) {
+  EXPECT_EQ(actual.campaign_name, expected.campaign_name) << label;
+  EXPECT_EQ(actual.reference_experiment, expected.reference_experiment)
+      << label;
+  EXPECT_EQ(actual.experiments_run, expected.experiments_run) << label;
+  EXPECT_EQ(actual.experiments_stopped_early,
+            expected.experiments_stopped_early)
+      << label;
+  EXPECT_EQ(actual.reference.Serialize(), expected.reference.Serialize())
+      << label;
+  EXPECT_EQ(actual.register_live_fraction, expected.register_live_fraction)
+      << label;
+  EXPECT_EQ(actual.preinjection_resamples, expected.preinjection_resamples)
+      << label;
+  EXPECT_EQ(actual.static_pruned_bits, expected.static_pruned_bits) << label;
+  EXPECT_EQ(actual.static_pruned_fraction, expected.static_pruned_fraction)
+      << label;
+  EXPECT_EQ(actual.experiment_retries, expected.experiment_retries) << label;
+  EXPECT_EQ(actual.experiments_abandoned, expected.experiments_abandoned)
+      << label;
+  EXPECT_EQ(actual.targets_quarantined, expected.targets_quarantined)
+      << label;
+  EXPECT_EQ(actual.checkpoints_recorded, expected.checkpoints_recorded)
+      << label;
+  EXPECT_EQ(actual.checkpoint_forks, expected.checkpoint_forks) << label;
+  EXPECT_EQ(actual.instructions_skipped, expected.instructions_skipped)
+      << label;
+  EXPECT_EQ(actual.trigger_instructions_total,
+            expected.trigger_instructions_total)
+      << label;
+  EXPECT_EQ(actual.equiv_classes, expected.equiv_classes) << label;
+  EXPECT_EQ(actual.equiv_duplicates, expected.equiv_duplicates) << label;
+  EXPECT_EQ(actual.equiv_space_weight, expected.equiv_space_weight) << label;
+}
+
 TEST_F(ParallelRunnerTest, MatchesSerialRunBitForBitAtEveryWorkerCount) {
   const CampaignConfig config = MakeConfig("eq");
 
-  db::Database serial_db;
-  SetUpDatabase(serial_db, config);
-  target::ThorRdTarget serial_target;
-  auto serial_summary = CampaignRunner(&serial_db, &serial_target).Run("eq");
-  ASSERT_TRUE(serial_summary.ok()) << serial_summary.status().ToString();
-  const auto serial_logged = DumpTable(serial_db, kLoggedSystemStateTable);
-  const auto serial_campaign = DumpTable(serial_db, kCampaignDataTable);
-  ASSERT_EQ(serial_logged.size(), 25u);  // 24 experiments + reference
-  auto serial_analysis = AnalyzeCampaign(serial_db, "eq");
-  ASSERT_TRUE(serial_analysis.ok());
+  // Checkpoint fork is an execution choice as well: with it off and on,
+  // every runner shape matches the serial run.
+  for (const bool fork : {false, true}) {
+    const std::string mode = fork ? ", fork" : ", replay";
+    db::Database serial_db;
+    SetUpDatabase(serial_db, config);
+    target::ThorRdTarget serial_target;
+    CampaignRunner serial_runner(&serial_db, &serial_target);
+    serial_runner.set_checkpoint_fork(fork);
+    auto serial_summary = serial_runner.Run("eq");
+    ASSERT_TRUE(serial_summary.ok()) << serial_summary.status().ToString();
+    if (fork) EXPECT_GT(serial_summary->checkpoint_forks, 0u);
+    const auto serial_logged = DumpTable(serial_db, kLoggedSystemStateTable);
+    const auto serial_campaign = DumpTable(serial_db, kCampaignDataTable);
+    ASSERT_EQ(serial_logged.size(), 25u);  // 24 experiments + reference
+    auto serial_analysis = AnalyzeCampaign(serial_db, "eq");
+    ASSERT_TRUE(serial_analysis.ok());
 
-  for (const std::size_t workers : {2u, 4u, 8u}) {
-    db::Database parallel_db;
-    SetUpDatabase(parallel_db, config);
-    ParallelCampaignRunner runner(&parallel_db, ThorFactory(), workers);
-    auto summary = runner.Run("eq");
-    ASSERT_TRUE(summary.ok())
-        << workers << " workers: " << summary.status().ToString();
-    EXPECT_EQ(summary->experiments_run, 24u) << workers;
-    EXPECT_EQ(summary->experiments_stopped_early, 0u) << workers;
+    // 0 workers stands for the borrowed target plus a factory.
+    for (const std::size_t workers : {0u, 1u, 2u, 4u, 8u}) {
+      const std::string shape =
+          (workers == 0 ? std::string("borrowed target + factory")
+                        : std::to_string(workers) + " workers") +
+          mode;
+      db::Database parallel_db;
+      SetUpDatabase(parallel_db, config);
+      target::ThorRdTarget borrowed;
+      ParallelCampaignRunner runner =
+          workers == 0
+              ? CampaignRunner(&parallel_db, &borrowed)
+              : ParallelCampaignRunner(&parallel_db, ThorFactory(), workers);
+      if (workers == 0) runner.set_target_factory(ThorFactory());
+      runner.set_checkpoint_fork(fork);
+      auto summary = runner.Run("eq");
+      ASSERT_TRUE(summary.ok())
+          << shape << ": " << summary.status().ToString();
+      EXPECT_EQ(summary->experiments_run, 24u) << shape;
+      EXPECT_EQ(summary->experiments_stopped_early, 0u) << shape;
+      // The drift guard: no counter may depend on how the runner was
+      // driven.
+      ExpectSameSummary(*summary, *serial_summary, shape);
 
-    // The whole LoggedSystemState row set, row for row and byte for
-    // byte — names, parentExperiment links, specs, state vectors, and
-    // the row order a dump would serialize.
-    EXPECT_EQ(DumpTable(parallel_db, kLoggedSystemStateTable),
-              serial_logged)
-        << workers << " workers";
-    EXPECT_EQ(DumpTable(parallel_db, kCampaignDataTable), serial_campaign)
-        << workers << " workers";
+      // The whole LoggedSystemState row set, row for row and byte for
+      // byte — names, parentExperiment links, specs, state vectors, and
+      // the row order a dump would serialize.
+      EXPECT_EQ(DumpTable(parallel_db, kLoggedSystemStateTable),
+                serial_logged)
+          << shape;
+      EXPECT_EQ(DumpTable(parallel_db, kCampaignDataTable), serial_campaign)
+          << shape;
 
-    // Outcome classification counts match (implied by the dump check,
-    // asserted separately for a readable failure).
-    auto analysis = AnalyzeCampaign(parallel_db, "eq");
-    ASSERT_TRUE(analysis.ok());
-    EXPECT_EQ(analysis->detected, serial_analysis->detected) << workers;
-    EXPECT_EQ(analysis->escaped, serial_analysis->escaped) << workers;
-    EXPECT_EQ(analysis->latent, serial_analysis->latent) << workers;
-    EXPECT_EQ(analysis->overwritten, serial_analysis->overwritten)
-        << workers;
-    EXPECT_EQ(analysis->not_injected, serial_analysis->not_injected)
-        << workers;
+      // Outcome classification counts match (implied by the dump check,
+      // asserted separately for a readable failure).
+      auto analysis = AnalyzeCampaign(parallel_db, "eq");
+      ASSERT_TRUE(analysis.ok());
+      EXPECT_EQ(analysis->detected, serial_analysis->detected) << shape;
+      EXPECT_EQ(analysis->escaped, serial_analysis->escaped) << shape;
+      EXPECT_EQ(analysis->latent, serial_analysis->latent) << shape;
+      EXPECT_EQ(analysis->overwritten, serial_analysis->overwritten)
+          << shape;
+      EXPECT_EQ(analysis->not_injected, serial_analysis->not_injected)
+          << shape;
+    }
   }
 }
 
@@ -165,6 +228,26 @@ TEST_F(ParallelRunnerTest, SingleWorkerDegeneratesToSerial) {
   ASSERT_TRUE(runner.Run("eq_one").ok());
   EXPECT_EQ(DumpTable(parallel_db, kLoggedSystemStateTable),
             DumpTable(serial_db, kLoggedSystemStateTable));
+
+  // One factory-fed worker stops exactly where a Stop() from the
+  // progress callback lands, like the borrowed-target runner: no
+  // experiment is claimed ahead of the writer.
+  for (const std::size_t stop_at : {1u, 4u, 9u}) {
+    db::Database stop_db;
+    SetUpDatabase(stop_db, config);
+    CampaignController controller;
+    CampaignRunner stopper(&stop_db, ThorFactory(), 1);
+    stopper.set_controller(&controller);
+    stopper.set_progress_callback([&](ProgressInfo info) {
+      if (info.experiments_done == stop_at) controller.Stop();
+    });
+    auto stopped = stopper.Run("eq_one");
+    ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
+    EXPECT_EQ(stopped->experiments_run, stop_at);
+    EXPECT_EQ(stopped->experiments_stopped_early, 10u - stop_at);
+    EXPECT_EQ(DumpTable(stop_db, kLoggedSystemStateTable).size(),
+              1u + stop_at);  // the reference run + exactly stop_at
+  }
 }
 
 TEST_F(ParallelRunnerTest, FrameworkTargetShardsThroughTheFactory) {
@@ -422,6 +505,41 @@ TEST_F(ParallelRunnerTest, SupervisorPreservesSerialEquivalenceUnderFaults) {
     EXPECT_EQ(flaky->rows[0][2].AsText(), "ok") << i;
     EXPECT_EQ(flaky->rows[0][0].AsText(), clean->rows[0][0].AsText()) << i;
     EXPECT_EQ(flaky->rows[0][1].AsText(), clean->rows[0][1].AsText()) << i;
+  }
+
+  // The drift guard under the same faults: a borrowed target plus a
+  // factory (0 workers) and a factory at 1 and 4 workers log these rows
+  // and agree on every summary field, with checkpoint fork off and on.
+  // (A lone borrowed target takes no part: quarantine needs a factory.)
+  for (const bool fork : {false, true}) {
+    std::optional<CampaignSummary> first;
+    for (const std::size_t workers : {0u, 1u, 4u}) {
+      const std::string shape =
+          std::to_string(workers) + " workers" + (fork ? ", fork" : "");
+      db::Database database;
+      SetUpDatabase(database, config);
+      target::ThorRdTarget borrowed;
+      auto factory =
+          target::MakeFlakyTargetFactory(ThorFactory(), make_script());
+      CampaignRunner runner =
+          workers == 0 ? CampaignRunner(&database, &borrowed)
+                       : CampaignRunner(&database, factory, workers);
+      if (workers == 0) runner.set_target_factory(factory);
+      runner.set_checkpoint_fork(fork);
+      auto summary = runner.Run("flaky_eq");
+      ASSERT_TRUE(summary.ok())
+          << shape << ": " << summary.status().ToString();
+      EXPECT_EQ(DumpTable(database, kLoggedSystemStateTable),
+                DumpTable(serial_db, kLoggedSystemStateTable))
+          << shape;
+      if (!first.has_value()) {
+        first = *summary;
+        EXPECT_EQ(first->targets_quarantined, 6u) << shape;
+        if (fork) EXPECT_GT(first->checkpoint_forks, 0u) << shape;
+        continue;
+      }
+      ExpectSameSummary(*summary, *first, shape);
+    }
   }
 }
 

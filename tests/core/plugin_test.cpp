@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/registry.h"
 #include "target/thor_rd_target.h"
 
@@ -55,6 +58,42 @@ TEST(RegistryTest, ThorLacksCacheParityCheckers) {
   target::ThorRdTarget thor_rd;
   EXPECT_EQ(thor->ListLocations().size(),
             thor_rd.ListLocations().size());
+}
+
+// The process-wide registry starts out with the built-ins, as defaults
+// a program may replace once (an instrumented subclass, say).
+TEST(RegistryTest, ProcessRegistryStartsWithReplaceableBuiltins) {
+  TargetRegistry& registry = TargetRegistry::Instance();
+  EXPECT_TRUE(registry.Has("thor_rd"));
+  EXPECT_TRUE(registry.Has("thor"));
+  EXPECT_TRUE(registry.Has("cache_hierarchy"));
+  const auto thor_rd = [] {
+    return std::unique_ptr<target::TargetSystemInterface>(
+        new target::ThorRdTarget());
+  };
+  EXPECT_TRUE(registry.Register("thor_rd", thor_rd).ok());
+  EXPECT_EQ(registry.Register("thor_rd", thor_rd).code(),
+            ErrorCode::kAlreadyExists);
+  RegisterBuiltinTargets(registry);  // a no-op: every name is taken
+  EXPECT_EQ(registry.Names().size(), 3u);
+}
+
+// Campaign workers and daemon executors mint targets from the process
+// registry concurrently (runs under ThreadSanitizer in CI).
+TEST(RegistryTest, ConcurrentMintsFromTheProcessRegistry) {
+  std::vector<std::thread> minters;
+  for (int t = 0; t < 4; ++t) {
+    minters.emplace_back([] {
+      for (int i = 0; i < 4; ++i) {
+        RegisterBuiltinTargets(TargetRegistry::Instance());
+        auto target = TargetRegistry::Instance().Create(
+            i % 2 == 0 ? "thor_rd" : "cache_hierarchy");
+        ASSERT_TRUE(target.ok());
+        EXPECT_FALSE((*target)->ListLocations().empty());
+      }
+    });
+  }
+  for (std::thread& minter : minters) minter.join();
 }
 
 TEST(RegistryTest, RejectsBadRegistrations) {

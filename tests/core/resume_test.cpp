@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "core/goofi.h"
+#include "test_util/temp_dir.h"
 
 namespace goofi::core {
 namespace {
@@ -110,7 +111,7 @@ TEST_F(ResumeTest, RunRefusesToRerunCompletedCampaign) {
 TEST_F(ResumeTest, CrashRecoveryViaCheckpointDirectory) {
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_checkpoint_test").string();
+      (test_util::ProcessTempDir() / "goofi_checkpoint_test").string();
   fs::remove_all(dir);
 
   ASSERT_TRUE(StoreCampaign(database_, MakeConfig("ckpt")).ok());
@@ -144,7 +145,7 @@ TEST_F(ResumeTest, CrashRecoveryViaCheckpointDirectory) {
 TEST_F(ResumeTest, ParallelCrashAfterCheckpointResumesWithOtherWorkerCount) {
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_parallel_checkpoint_test").string();
+      (test_util::ProcessTempDir() / "goofi_parallel_checkpoint_test").string();
   fs::remove_all(dir);
 
   ASSERT_TRUE(StoreCampaign(database_, MakeConfig("pckpt")).ok());

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "test_util/temp_dir.h"
+
 namespace goofi::db {
 namespace {
 
@@ -190,7 +192,7 @@ TEST(DatabaseTest, SchemaSerializationRoundTrip) {
 TEST(DatabaseTest, SaveAndLoadDirectory) {
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_db_test").string();
+      (test_util::ProcessTempDir() / "goofi_db_test").string();
   fs::remove_all(dir);
   {
     Database database = MakeLinked();
@@ -215,7 +217,7 @@ TEST(DatabaseTest, SaveAndLoadDirectory) {
 TEST(DatabaseTest, SaveOrdersParentsBeforeChildren) {
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_db_order_test").string();
+      (test_util::ProcessTempDir() / "goofi_db_order_test").string();
   fs::remove_all(dir);
   Database database;
   // Alphabetically the child ("a_child") precedes the parent ("z_parent"),
@@ -241,7 +243,7 @@ TEST(DatabaseTest, SaveOrdersParentsBeforeChildren) {
 TEST(DatabaseTest, LoadHandlesSelfRefChildBeforeParentRows) {
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_db_selfref_test").string();
+      (test_util::ProcessTempDir() / "goofi_db_selfref_test").string();
   fs::remove_all(dir);
   {
     Database database;
@@ -269,7 +271,7 @@ TEST(DatabaseTest, MissingDirectoryReportsIoError) {
 TEST(DatabaseTest, SaveReplacesDirectoryAtomically) {
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_db_atomic_test").string();
+      (test_util::ProcessTempDir() / "goofi_db_atomic_test").string();
   fs::remove_all(dir);
 
   Database database;
@@ -299,7 +301,7 @@ TEST(DatabaseTest, SaveReplacesDirectoryAtomically) {
 TEST(DatabaseTest, LoadRecoversInterruptedSave) {
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_db_interrupted_test").string();
+      (test_util::ProcessTempDir() / "goofi_db_interrupted_test").string();
   fs::remove_all(dir);
   fs::remove_all(dir + ".saving");
 

@@ -11,6 +11,7 @@
 #include "service/protocol.h"
 #include "util/crc32.h"
 #include "util/socket.h"
+#include "test_util/temp_dir.h"
 
 namespace goofi::service {
 namespace {
@@ -65,7 +66,7 @@ TEST(ProtocolTest, ResponsesRoundTripStatusCodes) {
 
 TEST(SocketTest, FramesRoundTripAndEofIsClean) {
   const std::string path =
-      (fs::temp_directory_path() / "goofi_protocol_test.sock").string();
+      (test_util::ProcessTempDir() / "goofi_protocol_test.sock").string();
   auto listener = UnixSocket::Listen(path);
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
 
@@ -115,7 +116,7 @@ TEST(SocketTest, FramesRoundTripAndEofIsClean) {
 
 TEST(SocketTest, CorruptedFrameFailsItsCrc) {
   const std::string path =
-      (fs::temp_directory_path() / "goofi_crc_test.sock").string();
+      (test_util::ProcessTempDir() / "goofi_crc_test.sock").string();
   auto listener = UnixSocket::Listen(path);
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
 

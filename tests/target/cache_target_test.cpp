@@ -18,7 +18,6 @@
 #include "conformance.h"
 #include "core/experiment_codec.h"
 #include "core/goofi_schema.h"
-#include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "target/workloads.h"
 

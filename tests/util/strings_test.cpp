@@ -85,6 +85,14 @@ struct WildcardCase {
   bool glob_match;
 };
 
+// Prints the case by value. gtest's default dumps the struct's bytes — two
+// string-literal addresses and the bool's padding — so the generated test
+// names would change from one build (or run) to the next.
+void PrintTo(const WildcardCase& c, std::ostream* os) {
+  *os << "'" << c.pattern << "' vs '" << c.text << "' -> "
+      << (c.glob_match ? "match" : "no match");
+}
+
 class GlobMatchTest : public ::testing::TestWithParam<WildcardCase> {};
 
 TEST_P(GlobMatchTest, Matches) {
