@@ -19,6 +19,7 @@
 #include "core/goofi_schema.h"
 #include "db/sql/executor.h"
 #include "db/sql/parser.h"
+#include "test_util/temp_dir.h"
 #include "util/strings.h"
 
 namespace {
@@ -95,8 +96,7 @@ void RunStorageReport() {
 
   // Durable bulk load: FK-checked inserts group-committed every kBatch
   // rows, the runner's WAL checkpoint cadence.
-  const std::string wal_dir =
-      (fs::temp_directory_path() / "goofi_bench_wal").string();
+  const std::string wal_dir = (test_util::ProcessTempDir() / "wal").string();
   fs::remove_all(wal_dir);
   db::Database wal_db = MakeGoofiDb();
   if (!wal_db.AttachWal(wal_dir).ok()) std::abort();
@@ -133,7 +133,7 @@ void RunStorageReport() {
   // The legacy model: every checkpoint rewrites the whole database as
   // text files.
   const std::string text_dir =
-      (fs::temp_directory_path() / "goofi_bench_text").string();
+      (test_util::ProcessTempDir() / "text").string();
   fs::remove_all(text_dir);
   db::Database text_db = MakeGoofiDb();
   AppendRows(text_db, 0, rows);
@@ -211,7 +211,7 @@ void BM_WalCommittedInsert(benchmark::State& state) {
   // FK checks plus durable group commit every 256 rows.
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_bench_wal_insert").string();
+      (test_util::ProcessTempDir() / "wal_insert").string();
   fs::remove_all(dir);
   db::Database database = MakeGoofiDb();
   if (!database.AttachWal(dir).ok()) std::abort();
@@ -351,7 +351,7 @@ void BM_SaveLoadRoundTrip(benchmark::State& state) {
   for (int i = 0; i < 500; ++i) {
     (void)database.Insert("LoggedSystemState", LoggedRow(i));
   }
-  const std::string dir = "/tmp/goofi_bench_db";
+  const std::string dir = (test_util::ProcessTempDir() / "db").string();
   for (auto _ : state) {
     if (!database.SaveToDirectory(dir).ok()) std::abort();
     auto loaded = db::Database::LoadFromDirectory(dir);

@@ -21,6 +21,7 @@
 #include "bench_util.h"
 #include "service/executor.h"
 #include "service/server.h"
+#include "test_util/temp_dir.h"
 
 namespace {
 
@@ -43,7 +44,7 @@ std::string Ini(const std::string& name, int experiments) {
 
 std::string FreshRoot(const std::string& leaf) {
   const std::string root =
-      (fs::temp_directory_path() / ("goofi_bench_service_" + leaf)).string();
+      (test_util::ProcessTempDir() / ("service_" + leaf)).string();
   fs::remove_all(root);
   return root;
 }

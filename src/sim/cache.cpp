@@ -8,81 +8,40 @@ namespace goofi::sim {
 Cache::Cache(CacheGeometry geometry) : geometry_(geometry) {
   assert(std::has_single_bit(geometry_.lines));
   assert(std::has_single_bit(geometry_.words_per_line));
+  line_shift_ =
+      2 + static_cast<unsigned>(std::countr_zero(geometry_.words_per_line));
+  tag_shift_ =
+      line_shift_ + static_cast<unsigned>(std::countr_zero(geometry_.lines));
+  word_mask_ = geometry_.words_per_line - 1;
+  line_mask_ = geometry_.lines - 1;
+  tag_mask_ =
+      geometry_.tag_bits >= 32 ? ~0u : ((1u << geometry_.tag_bits) - 1);
   lines_.resize(geometry_.lines);
   for (CacheLine& line : lines_) {
     line.words.assign(geometry_.words_per_line, 0);
     line.parity.assign(geometry_.words_per_line, false);
   }
+  fill_.assign(geometry_.words_per_line, 0);
 }
 
-bool Cache::ComputeParity(std::uint32_t word) {
-  return (std::popcount(word) & 1) != 0;
-}
-
-std::uint32_t Cache::WordIndex(std::uint32_t address) const {
-  return (address >> 2) & (geometry_.words_per_line - 1);
-}
-
-std::uint32_t Cache::LineIndex(std::uint32_t address) const {
-  const unsigned word_shift =
-      2 + static_cast<unsigned>(std::countr_zero(geometry_.words_per_line));
-  return (address >> word_shift) & (geometry_.lines - 1);
-}
-
-std::uint32_t Cache::Tag(std::uint32_t address) const {
-  const unsigned shift =
-      2 + static_cast<unsigned>(std::countr_zero(geometry_.words_per_line)) +
-      static_cast<unsigned>(std::countr_zero(geometry_.lines));
-  const std::uint32_t tag_mask =
-      geometry_.tag_bits >= 32 ? ~0u : ((1u << geometry_.tag_bits) - 1);
-  return (address >> shift) & tag_mask;
-}
-
-MemFault Cache::ReadWord(Memory& memory, std::uint32_t address,
+MemFault Cache::ReadMiss(Memory& memory, std::uint32_t address,
                          std::uint32_t* value, AccessKind kind,
-                         bool* parity_error) {
-  *parity_error = false;
-  if (address % 4 != 0) return MemFault::kMisaligned;
-  std::uint32_t inflight_mask = 0;
-  if (injector_ != nullptr) {
-    inflight_mask = injector_->PreRead(injector_unit_, this, address, kind);
-  }
-  CacheLine& line = lines_[LineIndex(address)];
-  const std::uint32_t word = WordIndex(address);
-  if (line.valid && line.tag == Tag(address)) {
-    // Hit: the protection check still consults memory's segment map so a
-    // cached-but-now-forbidden access kind cannot slip through.
-    const Segment* segment = memory.FindSegment(address);
-    if (segment == nullptr) return MemFault::kUnmapped;
-    if ((kind == AccessKind::kExecute && !segment->executable) ||
-        (kind == AccessKind::kRead && !segment->readable)) {
-      return MemFault::kProtection;
-    }
-    ++stats_.hits;
-    if (ComputeParity(line.words[word]) != line.parity[word]) {
-      ++stats_.parity_errors;
-      *parity_error = true;
-    }
-    *value = line.words[word] ^ inflight_mask;
-    return MemFault::kNone;
-  }
-  // Miss: fill the whole line from memory.
+                         std::uint32_t inflight_mask) {
   ++stats_.misses;
   const std::uint32_t line_base =
       address & ~(geometry_.words_per_line * 4 - 1);
-  std::vector<std::uint32_t> filled(geometry_.words_per_line);
   for (std::uint32_t w = 0; w < geometry_.words_per_line; ++w) {
-    const MemFault fault =
-        memory.ReadWord(line_base + w * 4, &filled[w], kind);
+    const MemFault fault = memory.ReadWord(line_base + w * 4, &fill_[w], kind);
     if (fault != MemFault::kNone) return fault;
   }
+  CacheLine& line = lines_[LineIndex(address)];
   line.valid = true;
   line.tag = Tag(address);
   for (std::uint32_t w = 0; w < geometry_.words_per_line; ++w) {
-    line.words[w] = filled[w];
-    line.parity[w] = ComputeParity(filled[w]);
+    line.words[w] = fill_[w];
+    line.parity[w] = ComputeParity(fill_[w]);
   }
-  *value = line.words[word] ^ inflight_mask;
+  *value = line.words[WordIndex(address)] ^ inflight_mask;
   return MemFault::kNone;
 }
 

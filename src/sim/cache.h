@@ -15,6 +15,7 @@
 //  - flipping VALID 1->0 silently invalidates the line (overwritten).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -57,7 +58,34 @@ class Cache {
   // fault (if any) of the fill/access path.
   MemFault ReadWord(Memory& memory, std::uint32_t address,
                     std::uint32_t* value, AccessKind kind,
-                    bool* parity_error);
+                    bool* parity_error) {
+    *parity_error = false;
+    if (address % 4 != 0) return MemFault::kMisaligned;
+    std::uint32_t inflight_mask = 0;
+    if (injector_ != nullptr) {
+      inflight_mask = injector_->PreRead(injector_unit_, this, address, kind);
+    }
+    CacheLine& line = lines_[LineIndex(address)];
+    if (!line.valid || line.tag != Tag(address)) {
+      return ReadMiss(memory, address, value, kind, inflight_mask);
+    }
+    // Hit: the protection check still consults memory's segment map so a
+    // cached-but-now-forbidden access kind cannot slip through.
+    const Segment* segment = memory.FindSegment(address);
+    if (segment == nullptr) return MemFault::kUnmapped;
+    if ((kind == AccessKind::kExecute && !segment->executable) ||
+        (kind == AccessKind::kRead && !segment->readable)) {
+      return MemFault::kProtection;
+    }
+    ++stats_.hits;
+    const std::uint32_t word = WordIndex(address);
+    if (ComputeParity(line.words[word]) != line.parity[word]) {
+      ++stats_.parity_errors;
+      *parity_error = true;
+    }
+    *value = line.words[word] ^ inflight_mask;
+    return MemFault::kNone;
+  }
 
   // Write-through with write-update (no allocate on miss): memory is
   // written, and if the line is resident the cached word + parity are
@@ -73,11 +101,20 @@ class Cache {
   const CacheLine& line(std::size_t index) const { return lines_[index]; }
 
   // Address decomposition (public for tests and the scan-chain map).
-  std::uint32_t LineIndex(std::uint32_t address) const;
-  std::uint32_t WordIndex(std::uint32_t address) const;
-  std::uint32_t Tag(std::uint32_t address) const;
+  std::uint32_t LineIndex(std::uint32_t address) const {
+    return (address >> line_shift_) & line_mask_;
+  }
+  std::uint32_t WordIndex(std::uint32_t address) const {
+    return (address >> 2) & word_mask_;
+  }
+  std::uint32_t Tag(std::uint32_t address) const {
+    return (address >> tag_shift_) & tag_mask_;
+  }
 
-  static bool ComputeParity(std::uint32_t word);  // even parity over 32 bits
+  // Even parity over 32 bits.
+  static bool ComputeParity(std::uint32_t word) {
+    return (std::popcount(word) & 1) != 0;
+  }
 
   // Access-path fault injection (sim/fault_injector.h). When installed,
   // ReadWord calls PreRead after the alignment check and before hit
@@ -99,8 +136,22 @@ class Cache {
   Status RestoreState(const CacheState& state);
 
  private:
+  // Fills the line holding `address` from memory and returns the word.
+  MemFault ReadMiss(Memory& memory, std::uint32_t address,
+                    std::uint32_t* value, AccessKind kind,
+                    std::uint32_t inflight_mask);
+
   CacheGeometry geometry_;
+  // Address decomposition, fixed by the geometry.
+  unsigned line_shift_ = 0;
+  unsigned tag_shift_ = 0;
+  std::uint32_t word_mask_ = 0;
+  std::uint32_t line_mask_ = 0;
+  std::uint32_t tag_mask_ = 0;
   std::vector<CacheLine> lines_;
+  // A line's worth of words read by a fill; the line itself is only
+  // updated once the whole fill succeeded.
+  std::vector<std::uint32_t> fill_;
   CacheStats stats_;
   FaultInjector* injector_ = nullptr;
   MemUnit injector_unit_ = MemUnit::kMainMemory;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -57,7 +58,7 @@ bool Cpu::RaiseEdm(EdmType type, std::uint32_t pc, std::string detail,
   event.time = instret_;
   event.pc = pc;
   event.detail = std::move(detail);
-  edm_events_.push_back(event);
+  edm_events_.push_back(std::move(event));
   if (config_.trap_to_handler) {
     // Abort the offending instruction and vector to the recovery
     // handler. Trap entry rearms the watchdog (otherwise an expired
@@ -66,30 +67,40 @@ bool Cpu::RaiseEdm(EdmType type, std::uint32_t pc, std::string detail,
     ir_valid_ = false;
     wdt_ = config_.watchdog_period;
     outcome->kind = StepOutcome::Kind::kEdmTrapped;
-    outcome->edm = std::move(event);
     return true;
   }
   halted_ = true;
   outcome->kind = StepOutcome::Kind::kEdm;
-  outcome->edm = std::move(event);
   return true;
 }
 
 bool Cpu::Prefetch(StepOutcome* outcome) {
-  // Misaligned PC.
-  if (pc_ % 4 != 0) {
+  std::uint32_t word = 0;
+  bool parity_error = false;
+  const MemFault fault =
+      pc_ % 4 != 0 ? MemFault::kMisaligned
+                   : icache_.ReadWord(memory_, pc_, &word,
+                                      AccessKind::kExecute, &parity_error);
+  if (fault != MemFault::kNone || parity_error) {
+    return PrefetchFault(fault, parity_error, word, outcome);
+  }
+  ir_ = word;
+  ir_valid_ = true;
+  return true;
+}
+
+bool Cpu::PrefetchFault(MemFault fault, bool parity_error, std::uint32_t word,
+                        StepOutcome* outcome) {
+  if (fault == MemFault::kMisaligned) {
     if (RaiseEdm(EdmType::kMisalignedAccess, pc_,
                  StrFormat("fetch from misaligned pc 0x%08x", pc_),
                  outcome)) {
       return false;
     }
     pc_ &= ~3u;  // mechanism disabled: hardware masks the low bits
+    fault = icache_.ReadWord(memory_, pc_, &word, AccessKind::kExecute,
+                             &parity_error);
   }
-  bool parity_error = false;
-  std::uint32_t word = 0;
-  const MemFault fault = icache_.ReadWord(memory_, pc_, &word,
-                                          AccessKind::kExecute,
-                                          &parity_error);
   if (fault == MemFault::kUnmapped || fault == MemFault::kProtection) {
     if (RaiseEdm(EdmType::kPcOutOfRange, pc_,
                  StrFormat("fetch outside program memory at 0x%08x", pc_),
@@ -109,10 +120,6 @@ bool Cpu::Prefetch(StepOutcome* outcome) {
   ir_ = word;
   ir_valid_ = true;
   return true;
-}
-
-void Cpu::RunPostStepHooks() {
-  for (auto& [id, hook] : hooks_) hook(*this);
 }
 
 StepOutcome Cpu::Step() {
@@ -139,10 +146,10 @@ StepOutcome Cpu::Step() {
 
   const std::uint64_t time = instret_;
   const std::uint32_t at_pc = pc_;
-  const auto decoded = Decode(ir_);
-  if (!decoded.ok()) {
-    if (RaiseEdm(EdmType::kIllegalOpcode, at_pc, decoded.status().message(),
-                 &outcome)) {
+  if (!IsValidOpcode(static_cast<std::uint8_t>(ir_ >> 24))) {
+    // Decode formats the event's detail text; only this path needs it.
+    if (RaiseEdm(EdmType::kIllegalOpcode, at_pc,
+                 Decode(ir_).status().message(), &outcome)) {
       return outcome;
     }
     // Mechanism disabled: treat as NOP.
@@ -152,7 +159,7 @@ StepOutcome Cpu::Step() {
     RunPostStepHooks();
     return outcome;
   }
-  const Instruction& insn = *decoded;
+  const Instruction insn = DecodeFields(ir_);
 
 #ifndef NDEBUG
   std::uint16_t observed_uses = 0;
@@ -173,6 +180,21 @@ StepOutcome Cpu::Step() {
       tracer_->OnRegisterWrite(reg, this->reg(reg), value, time);
     }
     set_reg(reg, value);
+  };
+  // ALU operands: rb, then rc or the immediate per the isa.h operand
+  // class (the same split InstructionDefUse encodes), so R-type and
+  // I-type forms of one operation share a case below.
+  auto alu_operands = [&] {
+    const std::uint32_t b = read_reg(insn.rb);
+    const std::uint32_t c = IsRType(insn.opcode)
+                                ? read_reg(insn.rc)
+                                : static_cast<std::uint32_t>(insn.imm);
+    return std::pair<std::uint32_t, std::uint32_t>(b, c);
+  };
+  // An ALU operation that cannot raise an EDM: ra = op(b, c).
+  auto alu = [&](auto op) {
+    const auto [b, c] = alu_operands();
+    write_reg(insn.ra, op(b, c));
   };
 
   std::uint32_t next_pc = pc_ + 4;
@@ -223,91 +245,92 @@ StepOutcome Cpu::Step() {
       break;
 
     // ----- ALU ----------------------------------------------------------
-    // R-type and I-type share one evaluation path: the second operand is
-    // rc or the immediate per the isa.h operand class (the same split
-    // InstructionDefUse encodes).
-    case Opcode::kAdd: case Opcode::kSub: case Opcode::kMul:
-    case Opcode::kDiv: case Opcode::kAnd: case Opcode::kOr:
-    case Opcode::kXor: case Opcode::kSll: case Opcode::kSrl:
-    case Opcode::kSra: case Opcode::kSlt: case Opcode::kSltu:
-    case Opcode::kAddi: case Opcode::kAndi: case Opcode::kOri:
-    case Opcode::kXori: case Opcode::kSlli: case Opcode::kSrli:
-    case Opcode::kSrai: case Opcode::kSlti: {
-      const std::uint32_t b = read_reg(insn.rb);
-      const std::uint32_t c = IsRType(insn.opcode)
-                                  ? read_reg(insn.rc)
-                                  : static_cast<std::uint32_t>(insn.imm);
-      std::uint32_t result = 0;
-      switch (insn.opcode) {
-        case Opcode::kAdd:
-        case Opcode::kAddi: {
-          result = b + c;
-          const bool overflow =
-              ((b ^ result) & (c ^ result) & 0x80000000u) != 0;
-          if (overflow &&
-              RaiseEdm(EdmType::kArithOverflow, at_pc,
-                       StrFormat("%s overflow", OpcodeMnemonic(insn.opcode)),
-                       &outcome)) {
-            return outcome;
-          }
-          break;
-        }
-        case Opcode::kSub: {
-          result = b - c;
-          const bool overflow =
-              ((b ^ c) & (b ^ result) & 0x80000000u) != 0;
-          if (overflow &&
-              RaiseEdm(EdmType::kArithOverflow, at_pc, "sub overflow",
-                       &outcome)) {
-            return outcome;
-          }
-          break;
-        }
-        case Opcode::kMul:
-          result = b * c;
-          break;
-        case Opcode::kDiv: {
-          if (c == 0) {
-            if (RaiseEdm(EdmType::kDivByZero, at_pc, "divide by zero",
-                         &outcome)) {
-              return outcome;
-            }
-            result = 0;  // mechanism disabled
-          } else {
-            const std::int32_t sb = static_cast<std::int32_t>(b);
-            const std::int32_t sc = static_cast<std::int32_t>(c);
-            if (sb == std::numeric_limits<std::int32_t>::min() && sc == -1) {
-              if (RaiseEdm(EdmType::kArithOverflow, at_pc, "div overflow",
-                           &outcome)) {
-                return outcome;
-              }
-              result = b;  // INT_MIN
-            } else {
-              result = static_cast<std::uint32_t>(sb / sc);
-            }
-          }
-          break;
-        }
-        case Opcode::kAnd: case Opcode::kAndi: result = b & c; break;
-        case Opcode::kOr: case Opcode::kOri: result = b | c; break;
-        case Opcode::kXor: case Opcode::kXori: result = b ^ c; break;
-        case Opcode::kSll: case Opcode::kSlli: result = b << (c & 31); break;
-        case Opcode::kSrl: case Opcode::kSrli: result = b >> (c & 31); break;
-        case Opcode::kSra: case Opcode::kSrai:
-          result = static_cast<std::uint32_t>(
-              static_cast<std::int32_t>(b) >> (c & 31));
-          break;
-        case Opcode::kSlt: case Opcode::kSlti:
-          result = static_cast<std::int32_t>(b) < static_cast<std::int32_t>(c);
-          break;
-        case Opcode::kSltu:
-          result = b < c;
-          break;
-        default: break;
+    case Opcode::kAdd:
+    case Opcode::kAddi: {
+      const auto [b, c] = alu_operands();
+      const std::uint32_t result = b + c;
+      const bool overflow = ((b ^ result) & (c ^ result) & 0x80000000u) != 0;
+      if (overflow &&
+          RaiseEdm(EdmType::kArithOverflow, at_pc,
+                   StrFormat("%s overflow", OpcodeMnemonic(insn.opcode)),
+                   &outcome)) {
+        return outcome;
       }
       write_reg(insn.ra, result);
       break;
     }
+    case Opcode::kSub: {
+      const auto [b, c] = alu_operands();
+      const std::uint32_t result = b - c;
+      const bool overflow = ((b ^ c) & (b ^ result) & 0x80000000u) != 0;
+      if (overflow &&
+          RaiseEdm(EdmType::kArithOverflow, at_pc, "sub overflow",
+                   &outcome)) {
+        return outcome;
+      }
+      write_reg(insn.ra, result);
+      break;
+    }
+    case Opcode::kDiv: {
+      const auto [b, c] = alu_operands();
+      std::uint32_t result = 0;
+      if (c == 0) {
+        if (RaiseEdm(EdmType::kDivByZero, at_pc, "divide by zero",
+                     &outcome)) {
+          return outcome;
+        }
+        result = 0;  // mechanism disabled
+      } else {
+        const std::int32_t sb = static_cast<std::int32_t>(b);
+        const std::int32_t sc = static_cast<std::int32_t>(c);
+        if (sb == std::numeric_limits<std::int32_t>::min() && sc == -1) {
+          if (RaiseEdm(EdmType::kArithOverflow, at_pc, "div overflow",
+                       &outcome)) {
+            return outcome;
+          }
+          result = b;  // INT_MIN
+        } else {
+          result = static_cast<std::uint32_t>(sb / sc);
+        }
+      }
+      write_reg(insn.ra, result);
+      break;
+    }
+    case Opcode::kMul:
+      alu([](std::uint32_t b, std::uint32_t c) { return b * c; });
+      break;
+    case Opcode::kAnd: case Opcode::kAndi:
+      alu([](std::uint32_t b, std::uint32_t c) { return b & c; });
+      break;
+    case Opcode::kOr: case Opcode::kOri:
+      alu([](std::uint32_t b, std::uint32_t c) { return b | c; });
+      break;
+    case Opcode::kXor: case Opcode::kXori:
+      alu([](std::uint32_t b, std::uint32_t c) { return b ^ c; });
+      break;
+    case Opcode::kSll: case Opcode::kSlli:
+      alu([](std::uint32_t b, std::uint32_t c) { return b << (c & 31); });
+      break;
+    case Opcode::kSrl: case Opcode::kSrli:
+      alu([](std::uint32_t b, std::uint32_t c) { return b >> (c & 31); });
+      break;
+    case Opcode::kSra: case Opcode::kSrai:
+      alu([](std::uint32_t b, std::uint32_t c) {
+        return static_cast<std::uint32_t>(static_cast<std::int32_t>(b) >>
+                                          (c & 31));
+      });
+      break;
+    case Opcode::kSlt: case Opcode::kSlti:
+      alu([](std::uint32_t b, std::uint32_t c) {
+        return static_cast<std::uint32_t>(static_cast<std::int32_t>(b) <
+                                          static_cast<std::int32_t>(c));
+      });
+      break;
+    case Opcode::kSltu:
+      alu([](std::uint32_t b, std::uint32_t c) {
+        return static_cast<std::uint32_t>(b < c);
+      });
+      break;
 
     // ----- memory ---------------------------------------------------------
     case Opcode::kLd: case Opcode::kLdb: {

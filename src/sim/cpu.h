@@ -62,7 +62,7 @@ struct StepOutcome {
     kIterationEnd,  // SYS kIterEnd retired (environment-exchange point)
   };
   Kind kind = Kind::kRetired;
-  std::optional<EdmEvent> edm;
+  // kEdm / kEdmTrapped: the event is edm_events().back().
   StepEffects effects;
 };
 
@@ -146,7 +146,14 @@ class Cpu {
                 StepOutcome* outcome);
   // Prefetch `ir` from `pc_`; may raise fetch-side EDMs.
   bool Prefetch(StepOutcome* outcome);
-  void RunPostStepHooks();
+  // Prefetch's fetch-side EDMs, off its hot path: `fault` and
+  // `parity_error` are the outcome of the first fetch attempt
+  // (kMisaligned: none was made).
+  bool PrefetchFault(MemFault fault, bool parity_error, std::uint32_t word,
+                     StepOutcome* outcome);
+  void RunPostStepHooks() {
+    for (auto& [id, hook] : hooks_) hook(*this);
+  }
 
   CpuConfig config_;
   Memory memory_;

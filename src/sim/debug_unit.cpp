@@ -116,7 +116,11 @@ RunResult Run(Cpu& cpu, DebugUnit* debug_unit,
       result.reason = StopReason::kBudgetExhausted;
       break;
     }
-    if (debug_unit != nullptr) {
+    // With nothing armed the debug unit cannot fire; skipping it keeps
+    // the unwatched run (everything after a one-shot trigger) cheap.
+    const bool watched =
+        debug_unit != nullptr && debug_unit->breakpoint_count() != 0;
+    if (watched) {
       if (const auto id = debug_unit->CheckBefore(cpu)) {
         result.reason = StopReason::kBreakpoint;
         result.breakpoint_id = id;
@@ -132,7 +136,7 @@ RunResult Run(Cpu& cpu, DebugUnit* debug_unit,
         return result;
       case StepOutcome::Kind::kEdm:
         result.reason = StopReason::kEdm;
-        result.edm = outcome.edm;
+        result.edm = cpu.edm_events().back();
         result.instructions_executed = executed;
         return result;
       case StepOutcome::Kind::kEdmTrapped:
@@ -154,7 +158,7 @@ RunResult Run(Cpu& cpu, DebugUnit* debug_unit,
       case StepOutcome::Kind::kRetired:
         break;
     }
-    if (debug_unit != nullptr) {
+    if (watched) {
       if (const auto id = debug_unit->CheckAfter(cpu, outcome.effects)) {
         result.reason = StopReason::kBreakpoint;
         result.breakpoint_id = id;

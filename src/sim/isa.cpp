@@ -4,58 +4,11 @@
 
 namespace goofi::sim {
 
-bool IsValidOpcode(std::uint8_t opcode) {
-  switch (static_cast<Opcode>(opcode)) {
-    case Opcode::kNop: case Opcode::kHalt: case Opcode::kSys:
-    case Opcode::kLui:
-    case Opcode::kAdd: case Opcode::kSub: case Opcode::kMul:
-    case Opcode::kDiv: case Opcode::kAnd: case Opcode::kOr:
-    case Opcode::kXor: case Opcode::kSll: case Opcode::kSrl:
-    case Opcode::kSra: case Opcode::kSlt: case Opcode::kSltu:
-    case Opcode::kAddi: case Opcode::kAndi: case Opcode::kOri:
-    case Opcode::kXori: case Opcode::kSlli: case Opcode::kSrli:
-    case Opcode::kSrai: case Opcode::kSlti:
-    case Opcode::kLd: case Opcode::kSt: case Opcode::kLdb:
-    case Opcode::kStb:
-    case Opcode::kBeq: case Opcode::kBne: case Opcode::kBlt:
-    case Opcode::kBge: case Opcode::kBltu: case Opcode::kBgeu:
-    case Opcode::kJal: case Opcode::kJalr:
-      return true;
-  }
-  return false;
-}
-
-bool UsesSignedImmediate(Opcode opcode) {
-  switch (opcode) {
-    case Opcode::kAddi: case Opcode::kSlti:
-    case Opcode::kLd: case Opcode::kSt: case Opcode::kLdb:
-    case Opcode::kStb:
-    case Opcode::kBeq: case Opcode::kBne: case Opcode::kBlt:
-    case Opcode::kBge: case Opcode::kBltu: case Opcode::kBgeu:
-    case Opcode::kJal: case Opcode::kJalr:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool UsesLogicalImmediate(Opcode opcode) {
   switch (opcode) {
     case Opcode::kAndi: case Opcode::kOri: case Opcode::kXori:
     case Opcode::kSlli: case Opcode::kSrli: case Opcode::kSrai:
     case Opcode::kLui: case Opcode::kSys:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsRType(Opcode opcode) {
-  switch (opcode) {
-    case Opcode::kAdd: case Opcode::kSub: case Opcode::kMul:
-    case Opcode::kDiv: case Opcode::kAnd: case Opcode::kOr:
-    case Opcode::kXor: case Opcode::kSll: case Opcode::kSrl:
-    case Opcode::kSra: case Opcode::kSlt: case Opcode::kSltu:
       return true;
     default:
       return false;
@@ -154,19 +107,7 @@ Result<Instruction> Decode(std::uint32_t word) {
     return InvalidArgumentError(
         StrFormat("illegal opcode 0x%02x in word 0x%08x", opcode_bits, word));
   }
-  Instruction instruction;
-  instruction.opcode = static_cast<Opcode>(opcode_bits);
-  instruction.ra = static_cast<std::uint8_t>((word >> 20) & 0xf);
-  instruction.rb = static_cast<std::uint8_t>((word >> 16) & 0xf);
-  instruction.rc = static_cast<std::uint8_t>((word >> 12) & 0xf);
-  instruction.raw = word;
-  const std::uint16_t imm16 = static_cast<std::uint16_t>(word & 0xffff);
-  if (UsesSignedImmediate(instruction.opcode)) {
-    instruction.imm = static_cast<std::int16_t>(imm16);
-  } else {
-    instruction.imm = imm16;  // zero-extended (logical / LUI / SYS)
-  }
-  return instruction;
+  return DecodeFields(word);
 }
 
 const char* OpcodeMnemonic(Opcode opcode) {

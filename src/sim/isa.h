@@ -18,6 +18,7 @@
 // zero-extended. Branch/JAL offsets count words relative to pc+4.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -95,13 +96,55 @@ struct Instruction {
   std::uint32_t raw = 0;      // original encoding
 };
 
+// Per-opcode decode properties, indexed by the opcode byte. Undefined
+// opcodes have every property false.
+struct OpcodeProperties {
+  bool valid = false;
+  bool signed_immediate = false;  // ADDI/SLTI/mem/branch/JAL/JALR
+  bool r_type = false;            // ra = rb OP rc
+};
+
+inline constexpr std::array<OpcodeProperties, 256> kOpcodeProperties = [] {
+  std::array<OpcodeProperties, 256> table{};
+  const auto define = [&table](Opcode opcode, bool signed_immediate,
+                               bool r_type) {
+    table[static_cast<std::uint8_t>(opcode)] = {true, signed_immediate,
+                                                r_type};
+  };
+  for (Opcode op : {Opcode::kNop, Opcode::kHalt, Opcode::kSys, Opcode::kLui,
+                    Opcode::kAndi, Opcode::kOri, Opcode::kXori, Opcode::kSlli,
+                    Opcode::kSrli, Opcode::kSrai}) {
+    define(op, false, false);
+  }
+  for (Opcode op : {Opcode::kAdd, Opcode::kSub, Opcode::kMul, Opcode::kDiv,
+                    Opcode::kAnd, Opcode::kOr, Opcode::kXor, Opcode::kSll,
+                    Opcode::kSrl, Opcode::kSra, Opcode::kSlt,
+                    Opcode::kSltu}) {
+    define(op, false, true);
+  }
+  for (Opcode op : {Opcode::kAddi, Opcode::kSlti, Opcode::kLd, Opcode::kSt,
+                    Opcode::kLdb, Opcode::kStb, Opcode::kBeq, Opcode::kBne,
+                    Opcode::kBlt, Opcode::kBge, Opcode::kBltu, Opcode::kBgeu,
+                    Opcode::kJal, Opcode::kJalr}) {
+    define(op, true, false);
+  }
+  return table;
+}();
+
 // Is `opcode` a defined GOOFI-32 opcode?
-bool IsValidOpcode(std::uint8_t opcode);
+inline bool IsValidOpcode(std::uint8_t opcode) {
+  return kOpcodeProperties[opcode].valid;
+}
 
 // Immediate handling class of an opcode.
-bool UsesSignedImmediate(Opcode opcode);  // ADDI/SLTI/mem/branch/JAL
+inline bool UsesSignedImmediate(Opcode opcode) {
+  return kOpcodeProperties[static_cast<std::uint8_t>(opcode)]
+      .signed_immediate;
+}
 bool UsesLogicalImmediate(Opcode opcode); // ANDI/ORI/XORI (zero-extended)
-bool IsRType(Opcode opcode);
+inline bool IsRType(Opcode opcode) {
+  return kOpcodeProperties[static_cast<std::uint8_t>(opcode)].r_type;
+}
 bool IsBranch(Opcode opcode);
 bool IsCall(Opcode opcode);  // JAL/JALR (trigger class "subprogram call")
 
@@ -121,6 +164,25 @@ struct RegDefUse {
 RegDefUse InstructionDefUse(const Instruction& instruction);
 
 std::uint32_t Encode(const Instruction& instruction);
+
+// Field extraction of a word whose opcode IsValidOpcode accepts; Decode
+// is the checked entry point.
+inline Instruction DecodeFields(std::uint32_t word) {
+  Instruction instruction;
+  instruction.opcode = static_cast<Opcode>(word >> 24);
+  instruction.ra = static_cast<std::uint8_t>((word >> 20) & 0xf);
+  instruction.rb = static_cast<std::uint8_t>((word >> 16) & 0xf);
+  instruction.rc = static_cast<std::uint8_t>((word >> 12) & 0xf);
+  instruction.raw = word;
+  const std::uint16_t imm16 = static_cast<std::uint16_t>(word & 0xffff);
+  if (UsesSignedImmediate(instruction.opcode)) {
+    instruction.imm = static_cast<std::int16_t>(imm16);
+  } else {
+    instruction.imm = imm16;  // zero-extended (logical / LUI / SYS)
+  }
+  return instruction;
+}
+
 // Decode; an undefined opcode yields an error (the CPU raises the
 // illegal-opcode EDM from it).
 Result<Instruction> Decode(std::uint32_t word);

@@ -31,31 +31,11 @@ Status Memory::AddSegment(Segment segment) {
   return Status::Ok();
 }
 
-const Segment* Memory::FindSegment(std::uint32_t address) const {
-  const Backing* backing = FindBacking(address);
-  return backing == nullptr ? nullptr : &backing->segment;
-}
-
 const Segment* Memory::FindSegmentByName(const std::string& name) const {
   for (const Segment& segment : segments_) {
     if (segment.name == name) return &segment;
   }
   return nullptr;
-}
-
-const Memory::Backing* Memory::FindBacking(std::uint32_t address) const {
-  for (const Backing& backing : backings_) {
-    if (address >= backing.segment.base &&
-        address - backing.segment.base < backing.segment.size) {
-      return &backing;
-    }
-  }
-  return nullptr;
-}
-
-Memory::Backing* Memory::FindBacking(std::uint32_t address) {
-  return const_cast<Backing*>(
-      static_cast<const Memory*>(this)->FindBacking(address));
 }
 
 namespace {

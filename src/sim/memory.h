@@ -46,7 +46,10 @@ class Memory {
   Status AddSegment(Segment segment);
 
   const std::vector<Segment>& segments() const { return segments_; }
-  const Segment* FindSegment(std::uint32_t address) const;
+  const Segment* FindSegment(std::uint32_t address) const {
+    const Backing* backing = FindBacking(address);
+    return backing == nullptr ? nullptr : &backing->segment;
+  }
   const Segment* FindSegmentByName(const std::string& name) const;
 
   // Protection-checked accesses used by the CPU. Word accesses must be
@@ -93,8 +96,20 @@ class Memory {
     Segment segment;
     std::vector<std::uint8_t> bytes;
   };
-  const Backing* FindBacking(std::uint32_t address) const;
-  Backing* FindBacking(std::uint32_t address);
+  // Inline: every cache hit checks the segment of its address.
+  const Backing* FindBacking(std::uint32_t address) const {
+    for (const Backing& backing : backings_) {
+      if (address >= backing.segment.base &&
+          address - backing.segment.base < backing.segment.size) {
+        return &backing;
+      }
+    }
+    return nullptr;
+  }
+  Backing* FindBacking(std::uint32_t address) {
+    return const_cast<Backing*>(
+        static_cast<const Memory*>(this)->FindBacking(address));
+  }
 
   std::vector<Segment> segments_;
   std::vector<Backing> backings_;

@@ -1,5 +1,9 @@
 #include "target/target_types.h"
 
+#include <algorithm>
+#include <charconv>
+#include <string_view>
+
 #include "util/strings.h"
 
 namespace goofi::target {
@@ -44,18 +48,77 @@ std::optional<FaultModel::Kind> FaultModelKindFromName(
 // database layer escapes.
 // ---------------------------------------------------------------------
 
+namespace {
+
+// Appends the decimal form of `value`, as StrFormat("%llu") would, without
+// a format-string round trip or a temporary string.
+void AppendDecimal(std::string& out, std::uint64_t value) {
+  char digits[20];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof digits, value);
+  (void)ec;  // 20 digits hold every uint64_t
+  out.append(digits, end);
+}
+
+void AppendWordList(std::string& out, std::string_view key,
+                    const std::vector<std::uint32_t>& words) {
+  out += key;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (i != 0) out += '+';
+    AppendDecimal(out, words[i]);
+  }
+}
+
+Status BadObservation(const std::string& what) {
+  return ParseError("bad observation record: " + what);
+}
+
+// '+'-separated 32-bit values in ParseUint64's grammar (decimal or 0x
+// hex, surrounding ASCII whitespace allowed); empty pieces are skipped.
+Result<std::vector<std::uint32_t>> ParseWordList(std::string_view text) {
+  std::vector<std::uint32_t> words;
+  words.reserve(static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '+') + 1));
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    std::size_t end = text.find('+', start);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view piece = text.substr(start, end - start);
+    start = end + 1;
+    if (piece.empty()) continue;
+    std::string_view digits = StripAsciiWhitespace(piece);
+    int base = 10;
+    if (digits.size() > 2 && digits[0] == '0' &&
+        (digits[1] == 'x' || digits[1] == 'X')) {
+      base = 16;
+      digits.remove_prefix(2);
+    }
+    std::uint32_t value = 0;
+    const char* const last = digits.data() + digits.size();
+    const auto [ptr, ec] = std::from_chars(digits.data(), last, value, base);
+    // from_chars rejects an empty piece, a sign and values over 32 bits.
+    if (ec != std::errc() || ptr != last) {
+      return BadObservation("word list entry '" + std::string(piece) + "'");
+    }
+    words.push_back(value);
+  }
+  return words;
+}
+
+}  // namespace
+
 std::string Observation::Serialize() const {
-  std::string out;
-  out += StrFormat("stop=%d", static_cast<int>(stop_reason));
-  out += StrFormat(";instr=%llu",
-                   static_cast<unsigned long long>(instructions));
-  out += StrFormat(";iter=%llu", static_cast<unsigned long long>(iterations));
-  out += StrFormat(";recov=%llu",
-                   static_cast<unsigned long long>(recovery_count));
-  out += StrFormat(";inj=%d", fault_was_injected ? 1 : 0);
+  std::string out = "stop=";
+  AppendDecimal(out, static_cast<std::uint64_t>(stop_reason));
+  out += ";instr=";
+  AppendDecimal(out, instructions);
+  out += ";iter=";
+  AppendDecimal(out, iterations);
+  out += ";recov=";
+  AppendDecimal(out, recovery_count);
+  out += fault_was_injected ? ";inj=1" : ";inj=0";
   if (link_words_retried != 0) {
-    out += StrFormat(";linkretry=%llu",
-                     static_cast<unsigned long long>(link_words_retried));
+    out += ";linkretry=";
+    AppendDecimal(out, link_words_retried);
   }
   if (edm.has_value()) {
     out += StrFormat(";edm=%d,%llu,0x%08x,%s", static_cast<int>(edm->type),
@@ -69,48 +132,19 @@ std::string Observation::Serialize() const {
     const std::string bytes(output_region.begin(), output_region.end());
     out += ";out=" + HexEncode(bytes);
   }
-  auto join_words = [](const std::vector<std::uint32_t>& words) {
-    std::string text;
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      if (i != 0) text += '+';
-      text += StrFormat("%u", words[i]);
-    }
-    return text;
-  };
-  if (!emitted.empty()) out += ";emit=" + join_words(emitted);
-  if (!env_outputs.empty()) out += ";env=" + join_words(env_outputs);
+  if (!emitted.empty()) AppendWordList(out, ";emit=", emitted);
+  if (!env_outputs.empty()) AppendWordList(out, ";env=", env_outputs);
   if (!detail_trace.empty()) {
     out += ";trace=";
     for (std::size_t i = 0; i < detail_trace.size(); ++i) {
       if (i != 0) out += '|';
-      out += StrFormat(
-          "%llu@", static_cast<unsigned long long>(detail_trace[i].first));
+      AppendDecimal(out, detail_trace[i].first);
+      out += '@';
       out += detail_trace[i].second.ToHexString();
     }
   }
   return out;
 }
-
-namespace {
-
-Status BadObservation(const std::string& what) {
-  return ParseError("bad observation record: " + what);
-}
-
-Result<std::vector<std::uint32_t>> ParseWordList(const std::string& text) {
-  std::vector<std::uint32_t> words;
-  for (const std::string& piece : SplitString(text, '+')) {
-    if (piece.empty()) continue;
-    const auto value = ParseUint64(piece);
-    if (!value || *value > 0xffffffffull) {
-      return BadObservation("word list entry '" + piece + "'");
-    }
-    words.push_back(static_cast<std::uint32_t>(*value));
-  }
-  return words;
-}
-
-}  // namespace
 
 Result<Observation> Observation::Deserialize(const std::string& text) {
   Observation observation;

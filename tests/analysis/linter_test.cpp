@@ -256,8 +256,8 @@ TEST(LintSpecTest, UnreadableAssemblyFileIsAnIoError) {
                                          "[workload]\n"
                                          "name = demo\n"
                                          "assembly_file = missing_xyz.s\n");
-  const LintDiagnostic* found =
-      Find(LintWorkloadSpecFile(path), "io-error");
+  const std::vector<LintDiagnostic> diagnostics = LintWorkloadSpecFile(path);
+  const LintDiagnostic* found = Find(diagnostics, "io-error");
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->line, 3);
 }
