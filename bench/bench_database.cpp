@@ -4,11 +4,11 @@
 // experiment; the analysis phase reads them back with SQL.
 //
 // Before the google-benchmark microbenches run, main() produces the
-// storage-engine report (BENCH_database.json): durable append
-// throughput of the WAL group commit against the legacy full-rewrite
-// text save at a campaign-scale row count, and indexed point queries
-// against the full scan. Row count defaults to 100000; override with
-// GOOFI_BENCH_DB_ROWS for quick runs.
+// storage-engine report (BENCH_database.json): durable bulk-load and
+// steady-state append throughput of the WAL group commit at a
+// campaign-scale row count, and indexed point queries against the full
+// scan. Row count defaults to 100000; override with GOOFI_BENCH_DB_ROWS
+// for quick runs.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -130,33 +130,6 @@ void RunStorageReport() {
       .Field("seconds_per_checkpoint", wal_per_checkpoint)
       .Field("appended_rows_per_sec", kBatch / wal_per_checkpoint);
 
-  // The legacy model: every checkpoint rewrites the whole database as
-  // text files.
-  const std::string text_dir =
-      (test_util::ProcessTempDir() / "text").string();
-  fs::remove_all(text_dir);
-  db::Database text_db = MakeGoofiDb();
-  AppendRows(text_db, 0, rows);
-  if (!text_db.SaveToDirectory(text_dir).ok()) std::abort();  // warm-up
-  constexpr int kTextCheckpoints = 3;
-  begin = clock::now();
-  for (int k = 0; k < kTextCheckpoints; ++k) {
-    AppendRows(text_db, rows + k * kBatch, kBatch);
-    if (!text_db.SaveToDirectory(text_dir).ok()) std::abort();
-  }
-  const double text_per_checkpoint =
-      Seconds(begin, clock::now()) / kTextCheckpoints;
-  json.BeginEntry()
-      .Field("mode", "text_full_rewrite_checkpoint")
-      .Field("base_rows", static_cast<std::uint64_t>(rows))
-      .Field("batch", static_cast<std::uint64_t>(kBatch))
-      .Field("seconds_per_checkpoint", text_per_checkpoint)
-      .Field("appended_rows_per_sec", kBatch / text_per_checkpoint);
-  json.BeginEntry()
-      .Field("mode", "append_speedup")
-      .Field("wal_vs_text_full_rewrite",
-             text_per_checkpoint / wal_per_checkpoint);
-
   // Point queries on the secondary-indexed tool_status column (~0.1%
   // selectivity at 997 distinct keys) with and without the index.
   const std::string query =
@@ -190,7 +163,6 @@ void RunStorageReport() {
 
   json.Write();
   fs::remove_all(wal_dir);
-  fs::remove_all(text_dir);
 }
 
 // ---- microbenches -------------------------------------------------------
@@ -345,22 +317,6 @@ void BM_SqlGroupByAggregate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4000);
 }
 BENCHMARK(BM_SqlGroupByAggregate);
-
-void BM_SaveLoadRoundTrip(benchmark::State& state) {
-  db::Database database = MakeGoofiDb();
-  for (int i = 0; i < 500; ++i) {
-    (void)database.Insert("LoggedSystemState", LoggedRow(i));
-  }
-  const std::string dir = (test_util::ProcessTempDir() / "db").string();
-  for (auto _ : state) {
-    if (!database.SaveToDirectory(dir).ok()) std::abort();
-    auto loaded = db::Database::LoadFromDirectory(dir);
-    if (!loaded.ok()) std::abort();
-    benchmark::DoNotOptimize(loaded);
-  }
-  state.SetItemsProcessed(state.iterations() * 500);
-}
-BENCHMARK(BM_SaveLoadRoundTrip);
 
 }  // namespace
 

@@ -9,8 +9,8 @@
 //                   tail, restart a crashed compaction, drop uncommitted
 //                   records. (This is exactly what Open() does; repair
 //                   just does it explicitly and reports what changed.)
-//   migrate <dir>   legacy text directory -> WAL format, in place.
-//   demote <dir>    WAL directory -> legacy text format, in place.
+//   migrate <dir>   one-way import of a directory in the retired text
+//                   format (db::ImportTextDirectory), in place.
 //   compact <dir>   fold the log into fresh snapshots (bumped generation).
 #include <cstdio>
 #include <cstring>
@@ -30,27 +30,8 @@ int Fail(const Status& status) {
   return 2;
 }
 
-bool IsWalDirectory(const std::string& dir) {
-  return fs::exists(fs::path(dir) / "wal.log") ||
-         fs::exists(fs::path(dir) / "snapshot.manifest");
-}
-
-bool IsTextDirectory(const std::string& dir) {
-  return fs::exists(fs::path(dir) / "manifest.txt");
-}
-
 int CmdVerify(const std::string& dir) {
-  if (!IsWalDirectory(dir)) {
-    if (IsTextDirectory(dir)) {
-      auto database = db::Database::LoadFromDirectory(dir);
-      if (!database.ok()) return Fail(database.status());
-      std::printf("%s: legacy text format, %zu tables, loads cleanly "
-                  "(run 'goofi_dbck migrate' for WAL)\n",
-                  dir.c_str(), database->TableNames().size());
-      return 0;
-    }
-    return Fail(NotFoundError("'" + dir + "' is not a database directory"));
-  }
+  if (auto s = db::Database::Probe(dir); !s.ok()) return Fail(s);
 
   auto manifest_text =
       db::wal::ReadFileBytes((fs::path(dir) / "snapshot.manifest").string());
@@ -148,14 +129,14 @@ int CmdRepair(const std::string& dir) {
 }
 
 int CmdMigrate(const std::string& dir) {
-  if (IsWalDirectory(dir)) {
+  if (db::Database::Probe(dir).ok()) {
     std::printf("%s: already WAL format\n", dir.c_str());
     return 0;
   }
-  auto database = db::Database::LoadFromDirectory(dir);
+  auto database = db::ImportTextDirectory(dir);
   if (!database.ok()) return Fail(database.status());
   if (auto s = database->AttachWal(dir); !s.ok()) return Fail(s);
-  // The WAL markers are in place; retire the legacy files.
+  // The WAL markers are in place; retire the text files.
   std::error_code ec;
   fs::remove(fs::path(dir) / "manifest.txt", ec);
   for (const std::string& table : database->TableNames()) {
@@ -167,29 +148,9 @@ int CmdMigrate(const std::string& dir) {
   return 0;
 }
 
-int CmdDemote(const std::string& dir) {
-  if (!IsWalDirectory(dir)) {
-    std::printf("%s: already legacy text format\n", dir.c_str());
-    return 0;
-  }
-  auto database = db::Database::Open(dir);
-  if (!database.ok()) return Fail(database.status());
-  const std::uint64_t generation = database->generation();
-  if (auto s = database->SaveToDirectory(dir); !s.ok()) return Fail(s);
-  // SaveToDirectory swapped in a fresh directory holding only the text
-  // format; nothing WAL survives the swap.
-  std::printf("%s: demoted to legacy text format (was generation %llu)\n",
-              dir.c_str(), static_cast<unsigned long long>(generation));
-  return 0;
-}
-
 int CmdCompact(const std::string& dir) {
   auto database = db::Database::Open(dir);
   if (!database.ok()) return Fail(database.status());
-  if (!database->wal_attached()) {
-    return Fail(FailedPreconditionError(
-        "'" + dir + "' is a legacy text directory; migrate it first"));
-  }
   if (auto s = database->Compact(); !s.ok()) return Fail(s);
   std::printf("%s: compacted into generation %llu snapshots\n", dir.c_str(),
               static_cast<unsigned long long>(database->generation()));
@@ -205,18 +166,17 @@ int main(int argc, char** argv) {
     if (command == "verify") return CmdVerify(dir);
     if (command == "repair") return CmdRepair(dir);
     if (command == "migrate") return CmdMigrate(dir);
-    if (command == "demote") return CmdDemote(dir);
     if (command == "compact") return CmdCompact(dir);
   }
   std::fprintf(stderr,
                "goofi_dbck: campaign-database consistency checker\n"
-               "usage: goofi_dbck <verify|repair|migrate|demote|compact> "
+               "usage: goofi_dbck <verify|repair|migrate|compact> "
                "<db-dir>\n"
                "  verify   health report (0 clean, 1 recoverable, "
                "2 unreadable)\n"
                "  repair   recover to the last valid commit\n"
-               "  migrate  legacy text -> WAL format, in place\n"
-               "  demote   WAL -> legacy text format, in place\n"
+               "  migrate  import a retired text-format directory, in "
+               "place\n"
                "  compact  fold the log into fresh table snapshots\n");
   return command.empty() ? 0 : 2;
 }

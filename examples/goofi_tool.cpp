@@ -17,7 +17,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,7 +24,6 @@
 
 #include "core/goofi.h"
 #include "target/flaky_target.h"
-#include "util/strings.h"
 
 namespace {
 
@@ -91,47 +89,6 @@ Arguments ParseArguments(int argc, char** argv) {
   return arguments;
 }
 
-// How often the runners group-commit the WAL, in experiments. The
-// cadence is counted in canonical order by both runners, so serial and
-// --jobs N runs flush at the same points and write identical log bytes.
-constexpr std::size_t kCommitEveryExperiments = 32;
-
-// Open the database directory in whichever format it holds; a fresh
-// directory becomes a WAL database (legacy text directories keep their
-// format until migrated with goofi_dbck).
-Result<db::Database> OpenOrCreate(const std::string& dir) {
-  namespace fs = std::filesystem;
-  if (fs::exists(fs::path(dir) / "wal.log") ||
-      fs::exists(fs::path(dir) / "snapshot.manifest") ||
-      fs::exists(fs::path(dir) / "manifest.txt") ||
-      fs::exists(fs::path(dir + ".saving") / "manifest.txt")) {
-    return db::Database::Open(dir);
-  }
-  db::Database database;
-  RETURN_IF_ERROR(database.AttachWal(dir));
-  RETURN_IF_ERROR(core::CreateGoofiSchema(database));
-  RETURN_IF_ERROR(database.Commit());
-  return database;
-}
-
-Result<std::unique_ptr<target::TargetSystemInterface>> MakeTarget(
-    const std::string& name, const std::string& workload_name) {
-  ASSIGN_OR_RETURN(auto target,
-                   core::TargetRegistry::Instance().Create(name));
-  if (!workload_name.empty()) {
-    if (EndsWith(workload_name, ".workload")) {
-      ASSIGN_OR_RETURN(target::WorkloadSpec workload,
-                       target::LoadWorkloadSpecFromFile(workload_name));
-      RETURN_IF_ERROR(target->SetWorkload(std::move(workload)));
-    } else {
-      ASSIGN_OR_RETURN(target::WorkloadSpec workload,
-                       target::GetBuiltinWorkload(workload_name));
-      RETURN_IF_ERROR(target->SetWorkload(std::move(workload)));
-    }
-  }
-  return target;
-}
-
 int CmdTargets() {
   core::TargetRegistry& registry = core::TargetRegistry::Instance();
   std::printf("registered target systems:\n");
@@ -170,7 +127,7 @@ int CmdRun(const Arguments& arguments, bool resume) {
   if (arguments.bad_checkpoint) {
     return Fail(InvalidArgumentError("--checkpoint takes 'on' or 'off'"));
   }
-  auto opened = OpenOrCreate(arguments.db_dir);
+  auto opened = core::OpenOrCreate(arguments.db_dir);
   if (!opened.ok()) return Fail(opened.status());
   db::Database database = std::move(*opened);
 
@@ -191,23 +148,9 @@ int CmdRun(const Arguments& arguments, bool resume) {
     workload_file = section->GetStringOr("workload_file", "");
     campaign_name = config->name;
     ini_jobs = config->jobs;
-    // Idempotent target registration + campaign storage.
-    if (!database.HasTable(core::kCampaignDataTable)) {
-      (void)core::CreateGoofiSchema(database);
-    }
-    const db::Table* campaigns =
-        database.FindTable(core::kCampaignDataTable);
-    if (!campaigns->FindByUnique(0, db::Value::Text_(campaign_name))) {
-      auto target = MakeTarget(config->target, "");
-      if (!target.ok()) return Fail(target.status());
-      if (auto s = core::RegisterTargetSystem(database, **target,
-                                              "goofi-tool-card", "");
-          !s.ok()) {
-        return Fail(s);
-      }
-      if (auto s = core::StoreCampaign(database, *config); !s.ok()) {
-        return Fail(s);
-      }
+    if (auto stored = core::StoreCampaignOnce(database, *config);
+        !stored.ok()) {
+      return Fail(stored.status());
     }
   }
 
@@ -243,7 +186,7 @@ int CmdRun(const Arguments& arguments, bool resume) {
     flaky_script = std::move(*parsed);
   }
   target::TargetFactory factory = [name = loaded->target, workload_file]() {
-    return MakeTarget(name, workload_file);
+    return core::MakeTarget(name, workload_file);
   };
   if (flaky_script != nullptr) {
     factory = target::MakeFlakyTargetFactory(std::move(factory),
@@ -259,21 +202,17 @@ int CmdRun(const Arguments& arguments, bool resume) {
   runner.set_controller(&g_run_controller);
   runner.set_progress_callback(print_progress);
   runner.set_checkpoint_fork(arguments.checkpoint);
-  // With a WAL attached, checkpoints are cheap group-commit flushes, so
-  // run them on a fixed cadence; legacy text databases keep the old
-  // behaviour (no mid-campaign rewrites unless asked).
-  if (database.wal_attached()) {
-    runner.set_checkpoint(arguments.db_dir, kCommitEveryExperiments);
-  }
+  runner.set_checkpoint(arguments.db_dir, core::kCommitEveryExperiments);
   auto summary =
       resume ? runner.Resume(campaign_name) : runner.Run(campaign_name);
   std::printf("\n");
   if (!summary.ok()) return Fail(summary.status());
   if (g_run_controller.drain_requested()) {
     // Checkpointed, not finished: the database holds exactly its last
-    // cadence commit (nothing else was written), so `goofi_tool resume`
-    // completes the campaign byte-identical to an uninterrupted run.
-    // No Persist, no analysis — that is the drain contract.
+    // cadence commit (at the earliest, the one storing the campaign),
+    // so `goofi_tool resume` completes the campaign byte-identical to an
+    // uninterrupted run. No closing commit, no analysis — that is the
+    // drain contract.
     std::printf("campaign %s: interrupted after %zu experiments; "
                 "checkpoint saved, resume with "
                 "`goofi_tool resume %s --db %s`\n",
@@ -344,9 +283,7 @@ int CmdRun(const Arguments& arguments, bool resume) {
   if (!analysis.ok()) return Fail(analysis.status());
   std::printf("%s", core::FormatAnalysisReport(*analysis).c_str());
 
-  if (auto s = database.Persist(arguments.db_dir); !s.ok()) {
-    return Fail(s);
-  }
+  if (auto s = database.Commit(); !s.ok()) return Fail(s);
   std::printf("database saved to %s\n", arguments.db_dir.c_str());
 
   // Abandoned (wedged) target instances drain on their own when their
@@ -397,16 +334,14 @@ int CmdRerun(const Arguments& arguments) {
   auto config = core::LoadCampaign(*database,
                                    logged->row(*row)[2].AsText());
   if (!config.ok()) return Fail(config.status());
-  auto target = MakeTarget(config->target, config->workload);
+  auto target = core::MakeTarget(config->target, config->workload);
   if (!target.ok()) return Fail(target.status());
   core::CampaignRunner runner(&(*database), target->get());
   auto child = runner.ReRunInDetailMode(arguments.positional[0]);
   if (!child.ok()) return Fail(child.status());
   std::printf("detail re-run logged as %s (parentExperiment = %s)\n",
               child->c_str(), arguments.positional[0].c_str());
-  if (auto s = database->Persist(arguments.db_dir); !s.ok()) {
-    return Fail(s);
-  }
+  if (auto s = database->Commit(); !s.ok()) return Fail(s);
   return 0;
 }
 
@@ -449,9 +384,7 @@ int CmdSql(const Arguments& arguments) {
     std::printf("(%zu rows)\n", result->rows.size());
   } else {
     std::printf("%zu rows affected\n", result->affected_rows);
-    if (auto s = database->Persist(arguments.db_dir); !s.ok()) {
-      return Fail(s);
-    }
+    if (auto s = database->Commit(); !s.ok()) return Fail(s);
   }
   return 0;
 }

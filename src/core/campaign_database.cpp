@@ -1,0 +1,59 @@
+#include "core/campaign_database.h"
+
+#include "core/goofi_schema.h"
+#include "core/registry.h"
+#include "target/workloads.h"
+#include "util/strings.h"
+
+namespace goofi::core {
+
+Result<std::unique_ptr<target::TargetSystemInterface>> MakeTarget(
+    const std::string& target_name, const std::string& workload) {
+  ASSIGN_OR_RETURN(auto target,
+                   TargetRegistry::Instance().Create(target_name));
+  if (workload.empty()) {
+    return target;
+  }
+  ASSIGN_OR_RETURN(target::WorkloadSpec spec,
+                   EndsWith(workload, ".workload")
+                       ? target::LoadWorkloadSpecFromFile(workload)
+                       : target::GetBuiltinWorkload(workload));
+  RETURN_IF_ERROR(target->SetWorkload(std::move(spec)));
+  return target;
+}
+
+Result<db::Database> OpenOrCreate(const std::string& dir) {
+  Result<db::Database> opened = db::Database::Open(dir);
+  db::Database database;
+  if (opened.ok()) {
+    database = std::move(*opened);
+    if (database.HasTable(kCampaignDataTable)) {
+      return database;
+    }
+  } else if (opened.status().code() == ErrorCode::kNotFound) {
+    RETURN_IF_ERROR(database.AttachWal(dir));
+  } else {
+    return opened.status();
+  }
+  RETURN_IF_ERROR(CreateGoofiSchema(database));
+  RETURN_IF_ERROR(database.Commit());
+  return database;
+}
+
+Result<bool> StoreCampaignOnce(db::Database& database,
+                               const CampaignConfig& config) {
+  const db::Table* campaigns = database.FindTable(kCampaignDataTable);
+  if (campaigns != nullptr &&
+      campaigns->FindByUnique(0, db::Value::Text_(config.name))
+          .has_value()) {
+    return true;
+  }
+  ASSIGN_OR_RETURN(auto target, MakeTarget(config.target, ""));
+  RETURN_IF_ERROR(
+      RegisterTargetSystem(database, *target, "goofi-tool-card", ""));
+  RETURN_IF_ERROR(StoreCampaign(database, config));
+  RETURN_IF_ERROR(database.Commit());
+  return false;
+}
+
+}  // namespace goofi::core

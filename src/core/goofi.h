@@ -28,6 +28,7 @@
 #include "analysis/static_liveness.h"
 #include "core/analysis.h"
 #include "core/campaign.h"
+#include "core/campaign_database.h"
 #include "core/crosscheck.h"
 #include "core/experiment_codec.h"
 #include "core/goofi_schema.h"

@@ -305,13 +305,12 @@ class CampaignRunner {
     controller_ = controller;
   }
 
-  // Crash tolerance for long campaigns: persist the database to
-  // `directory` after every `every_n` logged experiments, counted in
-  // canonical order. When the database has a WAL attached to
-  // `directory` this is a group-commit flush (append + sync of the
-  // batched rows) whose bytes do not depend on the worker count;
-  // otherwise it rewrites the legacy text format. After a crash, Open()
-  // the checkpoint directory and Resume() the campaign.
+  // Crash tolerance for long campaigns: group-commit the database's WAL
+  // (append + sync of the batched rows) after every `every_n` logged
+  // experiments, counted in canonical order, so the log bytes do not
+  // depend on the worker count. The WAL must be attached at
+  // `directory`; a checkpoint fails FailedPrecondition otherwise. After
+  // a crash, Open() the directory and Resume() the campaign.
   void set_checkpoint(std::string directory, std::size_t every_n) {
     checkpoint_directory_ = std::move(directory);
     checkpoint_every_ = every_n;

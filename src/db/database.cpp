@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "util/strings.h"
@@ -11,9 +10,21 @@ namespace goofi::db {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+// The files that mark a database directory (see wal.h), and the table
+// list of the retired text format: Probe() recognises it, and only
+// ImportTextDirectory() reads it.
+constexpr const char* kLogFile = "wal.log";
+constexpr const char* kManifestFile = "snapshot.manifest";
+constexpr const char* kTextManifestFile = "manifest.txt";
+
+}  // namespace
+
 Status Database::CreateTable(TableSchema schema) {
-  if (schema.table_name().empty()) {
-    return InvalidArgumentError("table name must not be empty");
+  if (!IsSqlIdentifier(schema.table_name())) {
+    return InvalidArgumentError("table name '" + schema.table_name() +
+                                "' is not an SQL identifier");
   }
   if (tables_.count(schema.table_name()) != 0) {
     return AlreadyExistsError("table '" + schema.table_name() +
@@ -355,106 +366,39 @@ Result<std::vector<std::string>> TablesInDependencyOrder(
   return ordered;
 }
 
-namespace {
-
-// Write the legacy text format into `path` (which must already exist).
-Status WriteTextFormat(const Database& database, const fs::path& path,
-                       const std::vector<std::string>& ordered) {
-  std::ofstream manifest(path / "manifest.txt", std::ios::trunc);
-  if (!manifest) return IoError("cannot write manifest");
-  for (const std::string& name : ordered) manifest << name << "\n";
-  manifest.close();
-
-  for (const std::string& name : ordered) {
-    const Table* table = database.FindTable(name);
-    std::ofstream schema_file(path / (name + ".schema"), std::ios::trunc);
-    if (!schema_file) return IoError("cannot write schema for '" + name + "'");
-    schema_file << SerializeSchema(table->schema());
-    schema_file.close();
-
-    std::ofstream data_file(path / (name + ".rows"), std::ios::trunc);
-    if (!data_file) return IoError("cannot write rows for '" + name + "'");
-    for (const Row& row : table->rows()) {
-      for (std::size_t i = 0; i < row.size(); ++i) {
-        if (i != 0) data_file << '\t';
-        data_file << EscapeTsvField(row[i].Encode());
-      }
-      data_file << '\n';
-    }
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status Database::SaveToDirectory(const std::string& path) const {
-  ASSIGN_OR_RETURN(std::vector<std::string> ordered,
-                   TablesInDependencyOrder(*this));
-
-  // Write into a sibling temp directory, then swap it into place, so a
-  // crash mid-save leaves either the old or the new database — never a
-  // half-written mix (the non-atomicity the WAL's crash harness would
-  // otherwise flag in its own fallback path).
-  const fs::path target(path);
-  const fs::path temp(path + ".saving");
-  const fs::path stale(path + ".stale");
-  std::error_code ec;
-  fs::remove_all(temp, ec);
-  fs::remove_all(stale, ec);
-  fs::create_directories(temp, ec);
-  if (ec) return IoError("cannot create directory '" + temp.string() + "'");
-  RETURN_IF_ERROR(WriteTextFormat(*this, temp, ordered));
-
-  if (fs::exists(target)) {
-    fs::rename(target, stale, ec);
-    if (ec) return IoError("cannot move aside '" + path + "'");
-  }
-  fs::rename(temp, target, ec);
-  if (ec) return IoError("cannot move saved database into '" + path + "'");
-  fs::remove_all(stale, ec);  // best-effort cleanup
-  return Status::Ok();
-}
-
-Result<Database> Database::LoadFromDirectory(const std::string& path) {
-  // Finish an interrupted atomic save: if the target vanished between
-  // SaveToDirectory's two renames, the sibling ".saving" directory holds
-  // a complete database (it is fully written before the swap begins).
-  if (!fs::exists(fs::path(path) / "manifest.txt") &&
-      fs::exists(fs::path(path + ".saving") / "manifest.txt") &&
-      !fs::exists(path)) {
-    std::error_code ec;
-    fs::rename(path + ".saving", path, ec);
-    if (ec) return IoError("cannot recover interrupted save of '" +
-                           path + "'");
-  }
-  std::ifstream manifest(fs::path(path) / "manifest.txt");
-  if (!manifest) return IoError("cannot open manifest in '" + path + "'");
+Result<Database> ImportTextDirectory(const std::string& path) {
+  const fs::path dir(path);
+  ASSIGN_OR_RETURN(const std::string manifest,
+                   wal::ReadFileBytes((dir / kTextManifestFile).string()));
   Database database;
-  std::string name;
-  std::vector<std::string> names;
-  while (std::getline(manifest, name)) {
-    if (!name.empty()) names.push_back(name);
-  }
-  for (const std::string& table_name : names) {
-    std::ifstream schema_file(fs::path(path) / (table_name + ".schema"));
-    if (!schema_file) {
-      return IoError("missing schema file for '" + table_name + "'");
+  for (const std::string& table_name : SplitString(manifest, '\n')) {
+    if (table_name.empty()) continue;
+    if (!IsSqlIdentifier(table_name)) {
+      return DataLossError("manifest.txt names a table '" + table_name +
+                           "' that is not an SQL identifier");
     }
-    std::ostringstream schema_text;
-    schema_text << schema_file.rdbuf();
-    ASSIGN_OR_RETURN(TableSchema schema, ParseSchemaText(schema_text.str()));
+    auto schema_text =
+        wal::ReadFileBytes((dir / (table_name + ".schema")).string());
+    if (!schema_text.ok()) {
+      return DataLossError("missing schema file for '" + table_name + "'");
+    }
+    ASSIGN_OR_RETURN(TableSchema schema, ParseSchemaText(*schema_text));
+    if (schema.table_name() != table_name) {
+      return DataLossError(table_name + ".schema describes table '" +
+                           schema.table_name() + "'");
+    }
     RETURN_IF_ERROR(database.CreateTable(std::move(schema)));
 
-    std::ifstream data_file(fs::path(path) / (table_name + ".rows"));
-    if (!data_file) {
-      return IoError("missing rows file for '" + table_name + "'");
+    auto rows_text =
+        wal::ReadFileBytes((dir / (table_name + ".rows")).string());
+    if (!rows_text.ok()) {
+      return DataLossError("missing rows file for '" + table_name + "'");
     }
-    std::string line;
     std::size_t line_number = 0;
     // Self-referencing tables may list a child before its parent; defer
     // FK-failing rows and retry until a fixed point.
     std::vector<Row> deferred;
-    while (std::getline(data_file, line)) {
+    for (const std::string& line : SplitString(*rows_text, '\n')) {
       ++line_number;
       if (line.empty()) continue;
       Row row;
@@ -602,9 +546,9 @@ Status Database::AttachWal(const std::string& path,
     return FailedPreconditionError("a WAL is already attached");
   }
   const fs::path dir(path);
-  if (fs::exists(dir / "wal.log") || fs::exists(dir / "snapshot.manifest")) {
+  if (Probe(path).ok()) {
     return AlreadyExistsError("'" + path +
-                              "' already holds a WAL database; use Open");
+                              "' already holds a database; use Open");
   }
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -624,14 +568,14 @@ Status Database::AttachWal(const std::string& path,
   ASSIGN_OR_RETURN(std::vector<std::string> ordered,
                    TablesInDependencyOrder(*this));
   RETURN_IF_ERROR(wal::WriteFileAtomic(
-      (dir / "snapshot.manifest").string(), wal::EncodeManifest(0, ordered)));
-  RETURN_IF_ERROR(wal::WriteFileAtomic((dir / "wal.log").string(),
+      (dir / kManifestFile).string(), wal::EncodeManifest(0, ordered)));
+  RETURN_IF_ERROR(wal::WriteFileAtomic((dir / kLogFile).string(),
                                        wal::EncodeWalHeader(0)));
   log_bytes_ = wal::kWalHeaderSize;
   dirty_tables_.clear();
   table_snapshot_gen_.clear();
   for (const std::string& name : ordered) table_snapshot_gen_[name] = 0;
-  ASSIGN_OR_RETURN(wal_file_, wal_factory_((dir / "wal.log").string()));
+  ASSIGN_OR_RETURN(wal_file_, wal_factory_((dir / kLogFile).string()));
   return Status::Ok();
 }
 
@@ -641,12 +585,14 @@ Status Database::OpenWalInto(const std::string& path,
   wal_dir_ = path;
   wal_factory_ = factory ? std::move(factory) : wal::OpenLogFile;
 
-  ASSIGN_OR_RETURN(std::string manifest_text,
-                   wal::ReadFileBytes((dir / "snapshot.manifest").string()));
+  auto manifest_text = wal::ReadFileBytes((dir / kManifestFile).string());
+  if (!manifest_text.ok()) {
+    return DataLossError("'" + path + "' has a log but no snapshot manifest");
+  }
   ASSIGN_OR_RETURN(wal::DecodedManifest manifest,
-                   wal::DecodeManifest(manifest_text));
+                   wal::DecodeManifest(*manifest_text));
 
-  const std::string log_path = (dir / "wal.log").string();
+  const std::string log_path = (dir / kLogFile).string();
   auto log_bytes = wal::ReadFileBytes(log_path);
   const wal::WalReadResult log =
       wal::ReadWal(log_bytes.ok() ? *log_bytes : std::string());
@@ -721,7 +667,7 @@ Status Database::OpenWalInto(const std::string& path,
     if (log.total_bytes > log.committed_bytes) {
       std::error_code ec;
       fs::resize_file(log_path, log.committed_bytes, ec);
-      if (ec) return IoError("cannot truncate torn tail of wal.log");
+      if (ec) return IoError("cannot truncate the torn tail of the log");
     }
     log_bytes_ = log.committed_bytes;
   } else {
@@ -742,15 +688,25 @@ Status Database::OpenWalInto(const std::string& path,
   return Status::Ok();
 }
 
+Status Database::Probe(const std::string& path) {
+  const fs::path dir(path);
+  if (fs::exists(dir / kLogFile) || fs::exists(dir / kManifestFile)) {
+    return Status::Ok();
+  }
+  if (fs::exists(dir / kTextManifestFile)) {
+    return FailedPreconditionError(
+        "'" + path + "' holds a database in the retired text format; "
+        "convert it with `goofi_dbck migrate " + path + "`");
+  }
+  return NotFoundError("no database in '" + path + "'");
+}
+
 Result<Database> Database::Open(const std::string& path,
                                 wal::WalFileFactory factory) {
-  const fs::path dir(path);
-  if (fs::exists(dir / "wal.log") || fs::exists(dir / "snapshot.manifest")) {
-    Database database;
-    RETURN_IF_ERROR(database.OpenWalInto(path, std::move(factory)));
-    return database;
-  }
-  return LoadFromDirectory(path);
+  RETURN_IF_ERROR(Probe(path));
+  Database database;
+  RETURN_IF_ERROR(database.OpenWalInto(path, std::move(factory)));
+  return database;
 }
 
 Status Database::Commit() {
@@ -816,11 +772,11 @@ Status Database::Compact() {
   // the old log onto the old snapshots; after it, the new snapshots are
   // the state and any same-named old log is ignored (generation skew).
   RETURN_IF_ERROR(wal::WriteFileAtomic(
-      (fs::path(wal_dir_) / "snapshot.manifest").string(),
+      (fs::path(wal_dir_) / kManifestFile).string(),
       wal::EncodeManifest(new_generation, entries)));
   wal_file_.reset();  // close before replacing the inode
   RETURN_IF_ERROR(
-      wal::WriteFileAtomic((fs::path(wal_dir_) / "wal.log").string(),
+      wal::WriteFileAtomic((fs::path(wal_dir_) / kLogFile).string(),
                            wal::EncodeWalHeader(new_generation)));
   generation_ = new_generation;
   commit_sequence_ = 0;
@@ -834,19 +790,18 @@ Status Database::Compact() {
   }
   RemoveStaleSnapshots(wal_dir_, keep);
   ASSIGN_OR_RETURN(wal_file_,
-                   wal_factory_((fs::path(wal_dir_) / "wal.log").string()));
+                   wal_factory_((fs::path(wal_dir_) / kLogFile).string()));
   return Status::Ok();
 }
 
 Status Database::Persist(const std::string& path) {
-  if (wal_attached()) {
-    std::error_code ec;
-    if (path == wal_dir_ ||
-        fs::weakly_canonical(path, ec) == fs::weakly_canonical(wal_dir_, ec)) {
-      return Commit();
-    }
+  std::error_code ec;
+  if (wal_attached() &&
+      (path == wal_dir_ ||
+       fs::weakly_canonical(path, ec) == fs::weakly_canonical(wal_dir_, ec))) {
+    return Commit();
   }
-  return SaveToDirectory(path);
+  return FailedPreconditionError("no WAL is attached at '" + path + "'");
 }
 
 }  // namespace goofi::db

@@ -5,17 +5,15 @@
 // be inserted without its parent, and a parent row cannot be deleted,
 // re-keyed, or its table dropped while children reference it.
 //
-// Persistence comes in two formats:
-//   * WAL (default for new campaign databases): checkpointed binary
-//     table snapshots plus an append-only, CRC-checksummed log. Every
-//     FK-checked mutation is buffered; Commit() group-flushes the batch
-//     behind a commit marker, so recovery after a crash replays exactly
-//     the committed prefix and never a partial batch. The log compacts
-//     into fresh snapshots once it crosses a size threshold. See wal.h.
-//   * Legacy text (one schema file + one TSV data file per table), kept
-//     readable so existing campaign directories still load; saves swap
-//     a temp directory into place so a crash mid-save cannot destroy
-//     the previous database.
+// A database lives in memory until a WAL is attached; from then on it
+// persists in one format: checkpointed binary table snapshots plus an
+// append-only, CRC-checksummed log. Every FK-checked mutation is
+// buffered; Commit() group-flushes the batch behind a commit marker, so
+// recovery after a crash replays exactly the committed prefix and never
+// a partial batch. The log compacts into fresh snapshots once it
+// crosses a size threshold. See wal.h. Directories in the retired text
+// format (one schema file + one TSV file per table) are converted once
+// by ImportTextDirectory, which only `goofi_dbck migrate` calls.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +38,9 @@ class Database {
   Database(Database&&) = default;
   Database& operator=(Database&&) = default;
 
-  // Create a table. Validates that every foreign key references an
-  // existing table and a PRIMARY KEY / UNIQUE column of compatible type.
+  // Create a table. Validates that its name is an SQL identifier and
+  // that every foreign key references an existing table and a PRIMARY
+  // KEY / UNIQUE column of compatible type.
   Status CreateTable(TableSchema schema);
 
   Status DropTable(const std::string& name);
@@ -60,26 +59,25 @@ class Database {
       const std::string& table,
       const std::function<bool(const Row&)>& predicate);
 
-  // Persistence (legacy text format). SaveToDirectory writes a sibling
-  // temp directory and atomically swaps it into place; LoadFromDirectory
-  // returns a fresh database.
-  Status SaveToDirectory(const std::string& path) const;
-  static Result<Database> LoadFromDirectory(const std::string& path);
+  // ---- persistence -------------------------------------------------------
 
-  // ---- WAL persistence ---------------------------------------------------
+  // Is there a database in `path`? Ok when it holds one, NotFound when
+  // it holds none, FailedPrecondition (naming `goofi_dbck migrate`) for
+  // a directory in the retired text format. Reads nothing but the
+  // directory's marker files.
+  static Status Probe(const std::string& path);
 
-  // Open a database directory of either format. A directory holding
-  // wal.log / snapshot.manifest recovers WAL state (replaying to the
-  // last valid commit, truncating any torn tail) and attaches the log
-  // for writing; a legacy manifest.txt directory loads read-only-style
-  // (no log attached; use AttachWal to migrate). `factory` overrides how
-  // the log file is opened — the crash tests inject faulty files here.
+  // Open the database in `path`: recover its state (replaying to the
+  // last valid commit, truncating any torn tail) and attach the log for
+  // writing. Fails as Probe() does when `path` holds no database.
+  // `factory` overrides how the log file is opened — the crash tests
+  // inject faulty files here.
   static Result<Database> Open(const std::string& path,
                                wal::WalFileFactory factory = nullptr);
 
   // Attach a WAL to `path` (creating the directory), snapshotting the
   // current in-memory state as generation 0. This is both "create a new
-  // WAL database" and "migrate a legacy text database".
+  // database" and the last step of importing a text directory.
   Status AttachWal(const std::string& path,
                    wal::WalFileFactory factory = nullptr);
 
@@ -98,8 +96,8 @@ class Database {
   // existing snapshot file (manifest v2, see wal.h).
   Status Compact();
 
-  // Routing door for runner checkpoints: Commit() when the WAL is
-  // attached to exactly `path`, otherwise a legacy atomic text save.
+  // Checkpoint door for the runners: Commit() when the WAL is attached
+  // at `path`, FailedPrecondition otherwise.
   Status Persist(const std::string& path);
 
   // Uncommitted records buffered since the last commit.
@@ -156,7 +154,7 @@ class Database {
 };
 
 // Table names in FK-dependency order (parents before children); fails
-// on a cycle. Both persistence formats write tables in this order.
+// on a cycle. Snapshot manifests list tables in this order.
 Result<std::vector<std::string>> TablesInDependencyOrder(
     const Database& database);
 
@@ -164,5 +162,11 @@ Result<std::vector<std::string>> TablesInDependencyOrder(
 // for debugging and golden tests).
 std::string SerializeSchema(const TableSchema& schema);
 Result<TableSchema> ParseSchemaText(const std::string& text);
+
+// One-way import of a directory in the retired text format: manifest.txt
+// naming the tables in FK order, and per table a <name>.schema file and
+// a <name>.rows TSV file. Returns an in-memory database (no WAL
+// attached) or a typed error; never trusts a name or a row from disk.
+Result<Database> ImportTextDirectory(const std::string& path);
 
 }  // namespace goofi::db

@@ -29,6 +29,18 @@ std::optional<ColumnType> ColumnTypeFromName(const std::string& name) {
   return std::nullopt;
 }
 
+bool IsSqlIdentifier(std::string_view name) {
+  if (name.empty()) return false;
+  const auto alpha = [](char c) {
+    return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || c == '_';
+  };
+  if (!alpha(name.front())) return false;
+  for (const char c : name) {
+    if (!alpha(c) && !(c >= '0' && c <= '9')) return false;
+  }
+  return true;
+}
+
 Status TableSchema::AddColumn(Column column) {
   if (column.name.empty()) {
     return InvalidArgumentError("column name must not be empty");

@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "db/value.h"
@@ -23,6 +24,12 @@ enum class ColumnType { kInteger, kReal, kText, kBlob, kAny };
 
 const char* ColumnTypeName(ColumnType type);
 std::optional<ColumnType> ColumnTypeFromName(const std::string& name);
+
+// [A-Za-z_][A-Za-z0-9_]*, the identifier rule of the SQL lexer. Table
+// names must satisfy it: a table's name also names its snapshot file,
+// so a name read from disk must not be able to step outside the
+// database directory.
+bool IsSqlIdentifier(std::string_view name);
 
 struct Column {
   std::string name;

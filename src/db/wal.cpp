@@ -450,7 +450,9 @@ Result<DecodedManifest> DecodeManifest(std::string_view text) {
       have_generation = true;
     } else if (v1 && StartsWith(line, "table ")) {
       const auto name = UnescapeTsvField(line.substr(6));
-      if (!name) return DataLossError("bad manifest table line");
+      if (!name || !IsSqlIdentifier(*name)) {
+        return DataLossError("bad manifest table line: " + line);
+      }
       pending_v1_tables.push_back(*name);
     } else if (!v1 && StartsWith(line, "table\t")) {
       const std::vector<std::string> fields = SplitString(line, '\t');
@@ -459,7 +461,7 @@ Result<DecodedManifest> DecodeManifest(std::string_view text) {
       }
       const auto name = UnescapeTsvField(fields[1]);
       const auto table_generation = ParseUint64(fields[2]);
-      if (!name || !table_generation) {
+      if (!name || !IsSqlIdentifier(*name) || !table_generation) {
         return DataLossError("bad manifest table line: " + line);
       }
       manifest.tables.push_back(*name);

@@ -158,7 +158,9 @@ Result<DecodedSnapshot> DecodeTableSnapshot(std::string_view bytes);
 //       incremental compaction rewrites only dirty tables, so a clean
 //       table keeps pointing at its older snapshot file.
 // Writers emit v2; v1 directories from before incremental compaction
-// keep loading (every per-table generation = the shared one).
+// keep loading (every per-table generation = the shared one). A table
+// name that is not an SQL identifier is DataLoss: names become file
+// names, and one like "../x" would read outside the directory.
 std::string EncodeManifest(std::uint64_t generation,
                            const std::vector<std::string>& tables);
 std::string EncodeManifest(

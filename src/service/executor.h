@@ -1,10 +1,10 @@
 // Campaign execution for goofi_serve: one submitted campaign ini run
 // (or resumed) against its own results database directory.
 //
-// The executor is deliberately the same flow as `goofi_tool run` — open
-// or create the WAL database, register the target under the same
-// "goofi-tool-card" serial, store the campaign row, run with the same
-// commit cadence — so a results database produced under the daemon is
+// The executor runs the same flow as `goofi_tool run`, through the same
+// functions (core/campaign_database.h): open or create the database,
+// register the target and store the campaign row, run with the same
+// commit cadence. So a results database produced under the daemon is
 // byte-identical to one produced by a one-shot `goofi_tool run` of the
 // same ini. That equality is the service's core robustness claim and
 // what tests/service/restart_equivalence_test.cpp and the serve-smoke
@@ -18,15 +18,17 @@
 #include <cstddef>
 #include <string>
 
+#include "core/campaign_database.h"
 #include "core/runner.h"
 #include "util/status.h"
 
 namespace goofi::service {
 
-// The runners' group-commit cadence, in experiments — identical to
-// goofi_tool's so daemon-run and one-shot databases flush (and can be
-// killed) at the same byte offsets.
-inline constexpr std::size_t kCommitEveryExperiments = 32;
+// The runners' group-commit cadence, in experiments — goofi_tool's, so
+// daemon-run and one-shot databases flush (and can be killed) at the
+// same byte offsets.
+inline constexpr std::size_t kCommitEveryExperiments =
+    core::kCommitEveryExperiments;
 
 struct ExecutionRequest {
   std::string db_dir;       // results database directory
@@ -48,7 +50,7 @@ struct SubmissionInfo {
 Result<SubmissionInfo> InspectSubmission(const std::string& config_text);
 
 // Run (or resume) the campaign. On a drain request the run ends at its
-// last cadence commit and the final Persist is skipped — the database
+// last cadence commit and the final commit is skipped — the database
 // is left byte-identical to a SIGKILL at that commit, which is exactly
 // the state Resume() reproduces from.
 Result<core::CampaignSummary> ExecuteSubmission(

@@ -1,7 +1,6 @@
 #include "service/journal.h"
 
 #include <algorithm>
-#include <filesystem>
 
 #include "db/schema.h"
 
@@ -71,14 +70,14 @@ Result<SubmissionJournal> SubmissionJournal::Open(
   if (queue_limit == 0) {
     return InvalidArgumentError("journal queue limit must be >= 1");
   }
-  namespace fs = std::filesystem;
+  // Replays committed transitions and truncates any torn tail — the
+  // SIGKILL recovery path.
+  Result<db::Database> opened = db::Database::Open(dir, factory);
   db::Database database;
-  const bool exists = fs::exists(fs::path(dir) / "wal.log") ||
-                      fs::exists(fs::path(dir) / "snapshot.manifest");
-  if (exists) {
-    // Replays committed transitions and truncates any torn tail — the
-    // SIGKILL recovery path.
-    ASSIGN_OR_RETURN(database, db::Database::Open(dir, std::move(factory)));
+  if (opened.ok()) {
+    database = std::move(*opened);
+  } else if (opened.status().code() != ErrorCode::kNotFound) {
+    return opened.status();
   } else {
     ASSIGN_OR_RETURN(TableSchema queue, QueueSchema());
     ASSIGN_OR_RETURN(TableSchema meta, MetaSchema());

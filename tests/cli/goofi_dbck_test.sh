@@ -1,11 +1,13 @@
 #!/bin/sh
-# End-to-end exercise of goofi_dbck: verify/repair on a damaged WAL
-# directory, plus the text<->WAL migration round trip, against a real
-# campaign database produced by goofi_tool.
+# End-to-end exercise of goofi_dbck: verify/repair/compact on a damaged
+# WAL directory produced by goofi_tool, plus the one-way import of the
+# committed text-format fixture (tests/fixtures/legacy_text_db, the
+# dbck_demo campaign below, with the analyze report recorded beside it).
 set -eu
 
 DBCK="$1"
 TOOL="$2"
+FIXTURES="$3"
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK"
@@ -46,20 +48,25 @@ grep -q "generation" compact.out || fail "compact must report the generation"
 "$TOOL" analyze dbck_demo --db dbdir | grep -q "10 experiments" \
   || fail "analyze after compact"
 
-# --- demote to legacy text, then migrate back ---------------------------
-"$DBCK" demote dbdir > /dev/null || fail "demote"
-test -f dbdir/manifest.txt || fail "demote must write the text manifest"
-test ! -f dbdir/wal.log || fail "demote must drop the log"
-"$DBCK" verify dbdir | grep -q "legacy text" || fail "verify on text dir"
-"$TOOL" analyze dbck_demo --db dbdir | grep -q "10 experiments" \
-  || fail "analyze on demoted db"
-
-"$DBCK" migrate dbdir > /dev/null || fail "migrate"
-test -f dbdir/wal.log || fail "migrate must create the log"
-test ! -f dbdir/manifest.txt || fail "migrate must retire manifest.txt"
-"$DBCK" verify dbdir > /dev/null || fail "verify after migrate"
-"$TOOL" analyze dbck_demo --db dbdir | grep -q "10 experiments" \
+# --- one-way import of the text-format fixture ---------------------------
+cp -R "$FIXTURES/legacy_text_db" legacy
+if "$DBCK" verify legacy > /dev/null 2> verify_legacy.err; then
+  fail "verify must refuse a text-format directory"
+fi
+grep -q "goofi_dbck migrate" verify_legacy.err \
+  || fail "verify must name the migration"
+if "$TOOL" analyze dbck_demo --db legacy > /dev/null 2>&1; then
+  fail "a text-format directory must not open before migration"
+fi
+"$DBCK" migrate legacy > /dev/null || fail "migrate"
+test -f legacy/wal.log || fail "migrate must create the log"
+test ! -f legacy/manifest.txt || fail "migrate must retire manifest.txt"
+"$DBCK" verify legacy > verify3.out || fail "verify after migrate"
+grep -q "verdict: clean" verify3.out || fail "migrated db must verify clean"
+"$TOOL" analyze dbck_demo --db legacy > analyze.out \
   || fail "analyze on migrated db"
+cmp -s analyze.out "$FIXTURES/legacy_text_db.analyze.txt" \
+  || fail "analyze of the migrated db must equal the recorded report"
 
 # --- error paths --------------------------------------------------------
 "$DBCK" verify /nonexistent 2>&1 | grep -qi "error" \

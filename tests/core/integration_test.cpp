@@ -86,6 +86,10 @@ TEST_F(IntegrationTest, EngineControlCampaignFindsFailSilenceViolations) {
 }
 
 TEST_F(IntegrationTest, DatabaseSurvivesSaveAndLoadBetweenPhases) {
+  const std::string dir =
+      (test_util::ProcessTempDir() / "goofi_integration_db").string();
+  fs::remove_all(dir);
+  ASSERT_TRUE(database_.AttachWal(dir).ok());
   CampaignConfig config;
   config.name = "it_persist";
   config.workload = "isort";
@@ -95,12 +99,8 @@ TEST_F(IntegrationTest, DatabaseSurvivesSaveAndLoadBetweenPhases) {
   ASSERT_TRUE(StoreCampaign(database_, config).ok());
   CampaignRunner runner(&database_, &target_);
   ASSERT_TRUE(runner.Run("it_persist").ok());
-
-  const std::string dir =
-      (test_util::ProcessTempDir() / "goofi_integration_db").string();
-  fs::remove_all(dir);
-  ASSERT_TRUE(database_.SaveToDirectory(dir).ok());
-  auto reloaded = db::Database::LoadFromDirectory(dir);
+  ASSERT_TRUE(database_.Commit().ok());
+  auto reloaded = db::Database::Open(dir);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
 
   // Analysis of the reloaded database matches the in-memory one.

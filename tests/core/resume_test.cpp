@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <map>
 
 #include "core/goofi.h"
 #include "test_util/temp_dir.h"
@@ -114,6 +116,7 @@ TEST_F(ResumeTest, CrashRecoveryViaCheckpointDirectory) {
       (test_util::ProcessTempDir() / "goofi_checkpoint_test").string();
   fs::remove_all(dir);
 
+  ASSERT_TRUE(database_.AttachWal(dir).ok());
   ASSERT_TRUE(StoreCampaign(database_, MakeConfig("ckpt")).ok());
   CampaignRunner runner(&database_, &target_);
   runner.set_checkpoint(dir, /*every_n=*/5);
@@ -125,8 +128,9 @@ TEST_F(ResumeTest, CrashRecoveryViaCheckpointDirectory) {
   });
   ASSERT_TRUE(runner.Run("ckpt").ok());
 
-  // Recovery: reload the world from the checkpoint and resume there.
-  auto recovered = db::Database::LoadFromDirectory(dir);
+  // Recovery: reopen the world at its last checkpoint commit and resume
+  // there.
+  auto recovered = db::Database::Open(dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   target::ThorRdTarget fresh_target;
   auto workload = target::GetBuiltinWorkload("fib");
@@ -148,6 +152,7 @@ TEST_F(ResumeTest, ParallelCrashAfterCheckpointResumesWithOtherWorkerCount) {
       (test_util::ProcessTempDir() / "goofi_parallel_checkpoint_test").string();
   fs::remove_all(dir);
 
+  ASSERT_TRUE(database_.AttachWal(dir).ok());
   ASSERT_TRUE(StoreCampaign(database_, MakeConfig("pckpt")).ok());
   auto factory = target::BuiltinTargetFactory("thor_rd");
   ASSERT_TRUE(factory.ok());
@@ -161,10 +166,10 @@ TEST_F(ResumeTest, ParallelCrashAfterCheckpointResumesWithOtherWorkerCount) {
   });
   ASSERT_TRUE(runner.Run("pckpt").ok());
 
-  // Recovery: reload the checkpointed world (which holds some multiple
+  // Recovery: reopen the checkpointed world (which holds some multiple
   // of 5 experiments — in-flight claims may land after the stop) and
   // resume the sharded plan with a *different* worker count.
-  auto recovered = db::Database::LoadFromDirectory(dir);
+  auto recovered = db::Database::Open(dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ParallelCampaignRunner resumer(&(*recovered), *factory, 2);
   auto summary = resumer.Resume("pckpt");
@@ -202,6 +207,68 @@ TEST_F(ResumeTest, ResumeOfNeverRunCampaignRunsEverything) {
   auto summary = runner.Resume("fresh");
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary->experiments_run, 30u);
+}
+
+// Every file of a database directory: name -> bytes.
+std::map<std::string, std::string> DirectoryBytes(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+// goofi_tool's and goofi_serve's sequence (OpenOrCreate, store, run on
+// the shared cadence), drained before experiment 0, then resumed: the
+// campaign must be there to resume, and the finished directory must be
+// byte-identical to an uninterrupted run's.
+TEST_F(ResumeTest, DrainBeforeFirstExperimentResumesToOneShotBytes) {
+  const std::filesystem::path root = test_util::ProcessTempDir();
+  CampaignConfig config = MakeConfig("drain0");
+  config.num_experiments = 40;  // past one cadence commit
+  const target::TargetFactory factory = [] {
+    return MakeTarget("thor_rd", "");
+  };
+  const auto run = [&](const std::string& dir, bool resume,
+                       CampaignController* controller) {
+    auto database = OpenOrCreate(dir);
+    ASSERT_TRUE(database.ok()) << database.status().ToString();
+    if (!resume) {
+      auto stored = StoreCampaignOnce(*database, config);
+      ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    }
+    CampaignRunner runner(&*database, factory, 1);
+    runner.set_controller(controller);
+    runner.set_checkpoint(dir, kCommitEveryExperiments);
+    auto summary = resume ? runner.Resume(config.name)
+                          : runner.Run(config.name);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    if (controller != nullptr) {
+      EXPECT_EQ(summary->experiments_run, 0u);
+      return;  // drained: no closing commit
+    }
+    ASSERT_TRUE(database->Commit().ok());
+  };
+
+  const std::string one_shot = (root / "drain0_one_shot").string();
+  run(one_shot, /*resume=*/false, nullptr);
+
+  const std::string drained = (root / "drain0_drained").string();
+  CampaignController controller;
+  controller.Drain();
+  run(drained, /*resume=*/false, &controller);
+  run(drained, /*resume=*/true, nullptr);
+
+  const auto expected = DirectoryBytes(one_shot);
+  const auto actual = DirectoryBytes(drained);
+  EXPECT_EQ(actual.size(), expected.size());
+  for (const auto& [name, bytes] : expected) {
+    EXPECT_TRUE(actual.count(name) != 0 && actual.at(name) == bytes)
+        << name << " differs from the uninterrupted run's";
+  }
 }
 
 }  // namespace

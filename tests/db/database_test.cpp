@@ -196,16 +196,19 @@ TEST(DatabaseTest, SaveAndLoadDirectory) {
   fs::remove_all(dir);
   {
     Database database = MakeLinked();
-    ASSERT_TRUE(database.SaveToDirectory(dir).ok());
+    ASSERT_TRUE(database.AttachWal(dir).ok());
+    ASSERT_TRUE(database.Insert("child", {Value::Integer(2),
+                                          Value::Text_("p2")}).ok());
+    ASSERT_TRUE(database.Commit().ok());
   }
-  auto loaded = Database::LoadFromDirectory(dir);
+  auto loaded = Database::Open(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const Table* parent = loaded->FindTable("parent");
   ASSERT_NE(parent, nullptr);
   EXPECT_EQ(parent->row_count(), 2u);
   const Table* child = loaded->FindTable("child");
   ASSERT_NE(child, nullptr);
-  EXPECT_EQ(child->row_count(), 1u);
+  EXPECT_EQ(child->row_count(), 2u);
   EXPECT_EQ(child->row(0)[1].AsText(), "p1");
   // Constraints survive the round trip.
   EXPECT_EQ(loaded->Insert("child", {Value::Integer(9),
@@ -233,95 +236,133 @@ TEST(DatabaseTest, SaveOrdersParentsBeforeChildren) {
   ASSERT_TRUE(database.CreateTable(child).ok());
   ASSERT_TRUE(database.Insert("z_parent", {Value::Text_("x")}).ok());
   ASSERT_TRUE(database.Insert("a_child", {Value::Text_("x")}).ok());
-  ASSERT_TRUE(database.SaveToDirectory(dir).ok());
-  const auto loaded = Database::LoadFromDirectory(dir);
+  // Open creates tables in manifest order, so the generation-0 manifest
+  // and a compaction's manifest must both list the parent first.
+  ASSERT_TRUE(database.AttachWal(dir).ok());
+  const auto loaded = Database::Open(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->FindTable("a_child")->row_count(), 1u);
+  ASSERT_TRUE(database.Insert("z_parent", {Value::Text_("y")}).ok());
+  ASSERT_TRUE(database.Insert("a_child", {Value::Text_("y")}).ok());
+  ASSERT_TRUE(database.Compact().ok());
+  const auto compacted = Database::Open(dir);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_EQ(compacted->FindTable("a_child")->row_count(), 2u);
   fs::remove_all(dir);
+}
+
+// Writes a directory in the retired text format, one file per entry.
+void WriteTextDirectory(
+    const std::filesystem::path& dir,
+    const std::vector<std::pair<std::string, std::string>>& files) {
+  std::filesystem::create_directories(dir);
+  for (const auto& [name, bytes] : files) {
+    std::ofstream(dir / name, std::ios::binary) << bytes;
+  }
 }
 
 TEST(DatabaseTest, LoadHandlesSelfRefChildBeforeParentRows) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (test_util::ProcessTempDir() / "goofi_db_selfref_test").string();
-  fs::remove_all(dir);
-  {
-    Database database;
-    ASSERT_TRUE(database.CreateTable(SelfRefSchema()).ok());
-    ASSERT_TRUE(database.Insert("tree", {Value::Text_("root"),
-                                         Value::Null()}).ok());
-    ASSERT_TRUE(database.Insert("tree", {Value::Text_("mid"),
-                                         Value::Text_("root")}).ok());
-    ASSERT_TRUE(database.Insert("tree", {Value::Text_("leaf"),
-                                         Value::Text_("mid")}).ok());
-    ASSERT_TRUE(database.SaveToDirectory(dir).ok());
-  }
-  const auto loaded = Database::LoadFromDirectory(dir);
+  const std::filesystem::path dir =
+      test_util::ProcessTempDir() / "goofi_db_selfref_test";
+  // The leaf precedes its parent, which precedes the root: the importer
+  // must defer rows until their parents exist.
+  WriteTextDirectory(dir, {{"manifest.txt", "tree\n"},
+                           {"tree.schema", SerializeSchema(SelfRefSchema())},
+                           {"tree.rows", "tleaf\ttmid\n"
+                                         "tmid\ttroot\n"
+                                         "troot\tn\n"}});
+  const auto loaded = ImportTextDirectory(dir.string());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->FindTable("tree")->row_count(), 3u);
-  fs::remove_all(dir);
+  EXPECT_FALSE(loaded->wal_attached());
 }
 
-TEST(DatabaseTest, MissingDirectoryReportsIoError) {
-  const auto loaded = Database::LoadFromDirectory("/nonexistent/goofi");
+TEST(DatabaseTest, ImportRejectsTableNamesThatAreNotIdentifiers) {
+  const std::filesystem::path dir =
+      test_util::ProcessTempDir() / "goofi_db_import_name_test";
+  WriteTextDirectory(dir, {{"manifest.txt", "../tree\n"},
+                           {"tree.schema", SerializeSchema(SelfRefSchema())},
+                           {"tree.rows", ""}});
+  const auto loaded = ImportTextDirectory(dir.string());
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), ErrorCode::kIo);
+  EXPECT_EQ(loaded.status().code(), ErrorCode::kDataLoss);
 }
 
-TEST(DatabaseTest, SaveReplacesDirectoryAtomically) {
-  namespace fs = std::filesystem;
+TEST(DatabaseTest, MissingDirectoryReportsNotFound) {
+  const auto loaded = Database::Open("/nonexistent/goofi");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), ErrorCode::kNotFound);
+}
+
+TEST(DatabaseTest, OpenOfTextDirectoryNamesTheMigration) {
+  const std::filesystem::path dir =
+      test_util::ProcessTempDir() / "goofi_db_text_open_test";
+  WriteTextDirectory(dir, {{"manifest.txt", ""}});
+  const auto opened = Database::Open(dir.string());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_NE(opened.status().message().find("goofi_dbck migrate"),
+            std::string::npos);
+}
+
+TEST(DatabaseTest, PersistCommitsOnlyTheAttachedDirectory) {
   const std::string dir =
-      (test_util::ProcessTempDir() / "goofi_db_atomic_test").string();
-  fs::remove_all(dir);
+      (test_util::ProcessTempDir() / "goofi_db_persist_test").string();
+  Database database = MakeLinked();
+  EXPECT_EQ(database.Persist(dir).code(), ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(database.AttachWal(dir).ok());
+  ASSERT_TRUE(database.Insert("parent", {Value::Text_("p3"),
+                                         Value::Null()}).ok());
+  EXPECT_EQ(database.Persist(dir + "_elsewhere").code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(database.pending_record_count(), 1u);
+  ASSERT_TRUE(database.Persist(dir).ok());
+  EXPECT_EQ(database.pending_record_count(), 0u);
+}
 
-  Database database;
-  ASSERT_TRUE(database.CreateTable(ParentSchema()).ok());
-  ASSERT_TRUE(database.Insert("parent", {Value::Text_("a"),
-                                         Value::Text_("one")}).ok());
-  ASSERT_TRUE(database.SaveToDirectory(dir).ok());
-
-  // A second save goes through a sibling temp directory and a rename
-  // swap: no .saving/.stale residue survives a successful save, and a
-  // file that only existed in the old version is gone.
-  {
-    std::ofstream((fs::path(dir) / "leftover.rows").string()) << "junk\n";
+TEST(DatabaseTest, CreateTableRejectsNamesThatAreNotIdentifiers) {
+  for (const char* name : {"", "../x", "a b", "9lives", "x.y"}) {
+    Database database;
+    TableSchema schema(name);
+    ASSERT_TRUE(schema.AddColumn({"k", ColumnType::kText}).ok());
+    EXPECT_EQ(database.CreateTable(schema).code(),
+              ErrorCode::kInvalidArgument)
+        << name;
   }
-  ASSERT_TRUE(database.Insert("parent", {Value::Text_("b"),
-                                         Value::Text_("two")}).ok());
-  ASSERT_TRUE(database.SaveToDirectory(dir).ok());
-  EXPECT_FALSE(fs::exists(dir + ".saving"));
-  EXPECT_FALSE(fs::exists(dir + ".stale"));
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "leftover.rows"));
-  const auto loaded = Database::LoadFromDirectory(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->FindTable("parent")->row_count(), 2u);
-  fs::remove_all(dir);
 }
 
-TEST(DatabaseTest, LoadRecoversInterruptedSave) {
+TEST(DatabaseTest, ManifestRejectsTableNamesThatAreNotIdentifiers) {
+  EXPECT_TRUE(wal::DecodeManifest("goofi-wal-manifest v2\ngeneration 3\n"
+                                  "table\tok_name\t2\n")
+                  .ok());
+  EXPECT_EQ(wal::DecodeManifest("goofi-wal-manifest v2\ngeneration 3\n"
+                                "table\t../x\t2\n")
+                .status()
+                .code(),
+            ErrorCode::kDataLoss);
+  EXPECT_EQ(wal::DecodeManifest("goofi-wal-manifest v1\ngeneration 3\n"
+                                "table ../x\n")
+                .status()
+                .code(),
+            ErrorCode::kDataLoss);
+}
+
+TEST(DatabaseTest, OpenRefusesAManifestNamingAFileOutsideTheDirectory) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (test_util::ProcessTempDir() / "goofi_db_interrupted_test").string();
-  fs::remove_all(dir);
-  fs::remove_all(dir + ".saving");
-
-  // Simulate a crash after the temp directory was fully written but
-  // before it was renamed into place: save elsewhere, then move the
-  // result to `<dir>.saving` with no `<dir>` present.
-  Database database;
-  ASSERT_TRUE(database.CreateTable(ParentSchema()).ok());
-  ASSERT_TRUE(database.Insert("parent", {Value::Text_("a"),
-                                         Value::Text_("one")}).ok());
-  ASSERT_TRUE(database.SaveToDirectory(dir).ok());
-  fs::rename(dir, dir + ".saving");
-
-  const auto loaded = Database::LoadFromDirectory(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->FindTable("parent")->row_count(), 1u);
-  // Recovery published the temp directory as the real one.
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "manifest.txt"));
-  EXPECT_FALSE(fs::exists(dir + ".saving"));
-  fs::remove_all(dir);
+  const fs::path root = test_util::ProcessTempDir() / "goofi_db_escape_test";
+  const fs::path dir = root / "db";
+  {
+    Database database = MakeLinked();
+    ASSERT_TRUE(database.AttachWal(dir.string()).ok());
+  }
+  // A snapshot planted beside the directory, and a manifest pointing at
+  // it through "..".
+  fs::copy_file(dir / "parent.0.snap", root / "x.0.snap");
+  std::ofstream(dir / "snapshot.manifest", std::ios::trunc)
+      << "goofi-wal-manifest v2\ngeneration 0\ntable\t../x\t0\n";
+  const auto opened = Database::Open(dir.string());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), ErrorCode::kDataLoss);
 }
 
 }  // namespace

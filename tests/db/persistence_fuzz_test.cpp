@@ -1,10 +1,13 @@
-// Property sweep: random databases (random schemas, rows full of
-// hostile bytes — tabs, newlines, NULs, non-UTF8 blobs) must survive a
-// save/load round trip bit-exactly, with constraints still enforced.
+// Property sweeps over persistence. Random databases (rows full of
+// hostile bytes — tabs, newlines, NULs, non-UTF8 blobs) must survive WAL
+// replay and compaction bit-exactly, with constraints still enforced.
+// Mutated copies of a committed text-format directory must import to a
+// database or fail with a typed Status, and never crash under ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <set>
+#include <fstream>
+#include <map>
 
 #include "db/database.h"
 #include "util/rng.h"
@@ -45,105 +48,11 @@ Value RandomValue(Rng& rng, ColumnType type, bool allow_null) {
   return Value::Null();
 }
 
-class PersistenceFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(PersistenceFuzz, RandomDatabaseRoundTrips) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6364136223846793005ULL +
-          1442695040888963407ULL);
-  Database database;
-
-  // Parent table with a unique text key.
-  TableSchema parent("parent");
-  ASSERT_TRUE(parent.AddColumn({"key", ColumnType::kInteger, false, false,
-                                true}).ok());
-  ASSERT_TRUE(parent.AddColumn({"payload", ColumnType::kBlob, false, false,
-                                false}).ok());
-  ASSERT_TRUE(database.CreateTable(parent).ok());
-
-  // Child table with a random extra column type.
-  const ColumnType extra_types[] = {ColumnType::kInteger, ColumnType::kReal,
-                                    ColumnType::kText, ColumnType::kBlob,
-                                    ColumnType::kAny};
-  const ColumnType extra = extra_types[rng.NextBelow(5)];
-  TableSchema child("child");
-  ASSERT_TRUE(child.AddColumn({"id", ColumnType::kInteger, false, false,
-                               true}).ok());
-  ASSERT_TRUE(child.AddColumn({"parent_key", ColumnType::kInteger, false,
-                               false, false}).ok());
-  ASSERT_TRUE(child.AddColumn({"extra", extra, false, false, false}).ok());
-  ASSERT_TRUE(child.AddForeignKey({"parent_key", "parent", "key"}).ok());
-  ASSERT_TRUE(database.CreateTable(child).ok());
-
-  // Populate with random (sometimes colliding) rows.
-  std::vector<std::int64_t> parent_keys;
-  const int parents = 5 + static_cast<int>(rng.NextBelow(20));
-  for (int i = 0; i < parents; ++i) {
-    const std::int64_t key = static_cast<std::int64_t>(rng.NextBelow(1000));
-    if (database.Insert("parent", {Value::Integer(key),
-                                   RandomValue(rng, ColumnType::kBlob,
-                                               true)}).ok()) {
-      parent_keys.push_back(key);
-    }
-  }
-  ASSERT_FALSE(parent_keys.empty());
-  const int children = static_cast<int>(rng.NextBelow(40));
-  for (int i = 0; i < children; ++i) {
-    const Value parent_ref =
-        rng.NextBool(0.2)
-            ? Value::Null()
-            : Value::Integer(
-                  parent_keys[rng.NextBelow(parent_keys.size())]);
-    (void)database.Insert("child", {Value::Integer(i), parent_ref,
-                                    RandomValue(rng, extra, true)});
-  }
-
-  const std::string dir =
-      (test_util::ProcessTempDir() /
-       ("goofi_persist_fuzz_" + std::to_string(GetParam()))).string();
-  fs::remove_all(dir);
-  ASSERT_TRUE(database.SaveToDirectory(dir).ok());
-  auto loaded = Database::LoadFromDirectory(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  for (const char* table_name : {"parent", "child"}) {
-    const Table* original = database.FindTable(table_name);
-    const Table* restored = loaded->FindTable(table_name);
-    ASSERT_NE(restored, nullptr) << table_name;
-    ASSERT_EQ(restored->row_count(), original->row_count()) << table_name;
-    // Compare as multisets: load order may differ for FK-deferred rows.
-    std::multiset<std::string> original_rows;
-    std::multiset<std::string> restored_rows;
-    for (const Row& row : original->rows()) {
-      std::string entry;
-      for (const Value& value : row) entry += value.Encode() + "\x1f";
-      original_rows.insert(entry);
-    }
-    for (const Row& row : restored->rows()) {
-      std::string entry;
-      for (const Value& value : row) entry += value.Encode() + "\x1f";
-      restored_rows.insert(entry);
-    }
-    EXPECT_EQ(restored_rows, original_rows) << table_name;
-  }
-
-  // Constraints survived: duplicate PK and dangling FK still rejected.
-  EXPECT_FALSE(loaded->Insert("parent",
-                              {Value::Integer(parent_keys[0]),
-                               Value::Null()}).ok());
-  EXPECT_EQ(loaded->Insert("child", {Value::Integer(99999),
-                                     Value::Integer(100000),
-                                     Value::Null()}).code(),
-            ErrorCode::kConstraintViolation);
-  fs::remove_all(dir);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PersistenceFuzz, ::testing::Range(0, 12));
-
 // ---- WAL format ---------------------------------------------------------
 
 // Exact-order dump: WAL replay must reproduce rows in their original
-// positions (update/delete records address rows by index), so unlike
-// the text round trip above this comparison is order-sensitive.
+// positions (update/delete records address rows by index), so the
+// comparison is order-sensitive.
 std::string ExactDump(const Database& database) {
   std::string dump;
   for (const std::string& name : database.TableNames()) {
@@ -274,6 +183,141 @@ TEST_P(WalPersistenceFuzz, ReplayedStateMatchesMemory) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WalPersistenceFuzz, ::testing::Range(0, 16));
+
+// ---- text import -----------------------------------------------------
+
+// The committed text-format fixture (tests/fixtures/legacy_text_db, a
+// 10-experiment campaign): file name -> bytes.
+std::map<std::string, std::string> LoadTextFixture() {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(GOOFI_LEGACY_DB_DIR)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    const std::size_t end = std::min(text.find('\n', begin), text.size());
+    lines.push_back(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return lines;
+}
+
+std::string Join(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+// One random damage to one file: a byte flip, a truncation, a dropped
+// or duplicated line, or a hostile table name in the manifest.
+void Mutate(Rng& rng, std::map<std::string, std::string>& files) {
+  auto it = files.begin();
+  std::advance(it, static_cast<long>(rng.NextBelow(files.size())));
+  std::string& bytes = it->second;
+  std::vector<std::string> lines = Lines(bytes);
+  switch (rng.NextBelow(5)) {
+    case 0:
+      if (!bytes.empty()) {
+        bytes[rng.NextBelow(bytes.size())] ^=
+            static_cast<char>(1 + rng.NextBelow(255));
+      }
+      break;
+    case 1:
+      bytes.resize(rng.NextBelow(bytes.size() + 1));
+      break;
+    case 2:
+      if (!lines.empty()) {
+        lines.erase(lines.begin() +
+                    static_cast<long>(rng.NextBelow(lines.size())));
+        bytes = Join(lines);
+      }
+      break;
+    case 3:
+      if (!lines.empty()) {
+        const std::size_t line = rng.NextBelow(lines.size());
+        lines.insert(lines.begin() + static_cast<long>(line), lines[line]);
+        bytes = Join(lines);
+      }
+      break;
+    case 4: {
+      static const char* const kHostileNames[] = {
+          "../x", "..", "/etc/passwd", "a b", "9lives", "CampaignData\t",
+          "x/../../CampaignData", "LoggedSystemState.rows"};
+      std::vector<std::string> manifest = Lines(files["manifest.txt"]);
+      const std::string name = kHostileNames[rng.NextBelow(8)];
+      if (manifest.empty() || rng.NextBool(0.5)) {
+        manifest.insert(manifest.begin() + static_cast<long>(rng.NextBelow(
+                                               manifest.size() + 1)),
+                        name);
+      } else {
+        manifest[rng.NextBelow(manifest.size())] = name;
+      }
+      files["manifest.txt"] = Join(manifest);
+      break;
+    }
+  }
+}
+
+TEST(TextImportTest, FixtureImportsCleanly) {
+  const std::string dir =
+      (test_util::ProcessTempDir() / "goofi_import_fixture").string();
+  fs::create_directories(dir);
+  for (const auto& [name, bytes] : LoadTextFixture()) {
+    std::ofstream(fs::path(dir) / name, std::ios::binary) << bytes;
+  }
+  auto imported = ImportTextDirectory(dir);
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  EXPECT_EQ(imported->FindTable("LoggedSystemState")->row_count(), 11u);
+}
+
+class TextImportFuzz : public ::testing::TestWithParam<int> {};
+
+// Oracle: a database or a typed error, for every mutant. An imported
+// mutant must also survive the rest of the migration: attach a WAL and
+// reopen to the same rows.
+TEST_P(TextImportFuzz, MutantsImportOrFailTyped) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 0x9E3779B97F4A7C15ULL +
+          0xD1B54A32D192ED03ULL);
+  const std::map<std::string, std::string> fixture = LoadTextFixture();
+  ASSERT_TRUE(fixture.count("manifest.txt"));
+  constexpr int kMutants = 24;
+  for (int mutant = 0; mutant < kMutants; ++mutant) {
+    std::map<std::string, std::string> files = fixture;
+    const std::size_t damage = 1 + rng.NextBelow(3);
+    for (std::size_t d = 0; d < damage; ++d) Mutate(rng, files);
+
+    const fs::path dir = test_util::ProcessTempDir() /
+                         ("goofi_import_fuzz_" + std::to_string(mutant));
+    fs::create_directories(dir);
+    for (const auto& [name, bytes] : files) {
+      std::ofstream(dir / name, std::ios::binary) << bytes;
+    }
+    auto imported = ImportTextDirectory(dir.string());
+    if (!imported.ok()) {
+      const ErrorCode code = imported.status().code();
+      EXPECT_NE(code, ErrorCode::kOk);
+      EXPECT_NE(code, ErrorCode::kInternal) << imported.status().ToString();
+      EXPECT_FALSE(imported.status().message().empty());
+    } else {
+      const std::string expected = ExactDump(*imported);
+      const fs::path wal_dir = dir / "wal";
+      ASSERT_TRUE(imported->AttachWal(wal_dir.string()).ok());
+      auto reopened = Database::Open(wal_dir.string());
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      EXPECT_EQ(ExactDump(*reopened), expected);
+    }
+    fs::remove_all(dir);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TextImportFuzz, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace goofi::db

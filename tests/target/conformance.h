@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -38,6 +39,13 @@ struct ConformanceParam {
   // (the corresponding test skips).
   std::string readonly_location;
 };
+
+// Prints the label. gtest's default prints the struct's bytes, which
+// start with a heap address, so the ctest names would change from one
+// build (or run) to the next.
+inline void PrintTo(const ConformanceParam& param, std::ostream* os) {
+  *os << param.label;
+}
 
 inline std::string ConformanceParamName(
     const ::testing::TestParamInfo<ConformanceParam>& info) {
