@@ -111,8 +111,6 @@ int CmdWorkloads() {
                 workload->environment.empty() ? "" : ", environment: ",
                 workload->environment.c_str());
   }
-  std::printf("(or pass a .workload file path in the campaign config's "
-              "'workload_file' key)\n");
   return 0;
 }
 
@@ -132,7 +130,6 @@ int CmdRun(const Arguments& arguments, bool resume) {
   db::Database database = std::move(*opened);
 
   std::string campaign_name;
-  std::string workload_file;
   std::size_t ini_jobs = 1;
   if (resume) {
     campaign_name = arguments.positional[0];
@@ -145,7 +142,6 @@ int CmdRun(const Arguments& arguments, bool resume) {
     }
     auto config = core::ParseCampaignConfig(*section);
     if (!config.ok()) return Fail(config.status());
-    workload_file = section->GetStringOr("workload_file", "");
     campaign_name = config->name;
     ini_jobs = config->jobs;
     if (auto stored = core::StoreCampaignOnce(database, *config);
@@ -185,8 +181,8 @@ int CmdRun(const Arguments& arguments, bool resume) {
     if (!parsed.ok()) return Fail(parsed.status());
     flaky_script = std::move(*parsed);
   }
-  target::TargetFactory factory = [name = loaded->target, workload_file]() {
-    return core::MakeTarget(name, workload_file);
+  target::TargetFactory factory = [name = loaded->target]() {
+    return core::TargetRegistry::Instance().Create(name);
   };
   if (flaky_script != nullptr) {
     factory = target::MakeFlakyTargetFactory(std::move(factory),
@@ -334,7 +330,7 @@ int CmdRerun(const Arguments& arguments) {
   auto config = core::LoadCampaign(*database,
                                    logged->row(*row)[2].AsText());
   if (!config.ok()) return Fail(config.status());
-  auto target = core::MakeTarget(config->target, config->workload);
+  auto target = core::TargetRegistry::Instance().Create(config->target);
   if (!target.ok()) return Fail(target.status());
   core::CampaignRunner runner(&(*database), target->get());
   auto child = runner.ReRunInDetailMode(arguments.positional[0]);

@@ -22,8 +22,8 @@ namespace goofi::analysis {
 
 // Backward register liveness. A register is live at pc when some path
 // from pc reads it before any write. Bit N = rN; bit 0 (r0) is never
-// set. This intentionally mirrors the *dynamic* notion used by
-// core::PreInjectionAnalysis — the value the program will still read —
+// set. This intentionally mirrors the *dynamic* liveness of the def-use
+// index (analysis/equivalence.h) — the value the program will still read —
 // and must over-approximate it on every fault-free run (the superset
 // invariant checked by core::CrossCheckWorkload).
 struct LivenessResult {

@@ -6,16 +6,31 @@
 
 namespace goofi::analysis {
 
+namespace {
+
+// The interval of a sorted, contiguous partition containing `time`, or
+// null past its end.
+const EquivInterval* FindInterval(const std::vector<EquivInterval>& intervals,
+                                  std::uint64_t time) {
+  const auto it = std::partition_point(
+      intervals.begin(), intervals.end(),
+      [time](const EquivInterval& interval) { return interval.hi < time; });
+  return it == intervals.end() ? nullptr : &*it;
+}
+
+}  // namespace
+
 std::vector<EquivInterval> BuildAccessIntervals(
     const std::vector<sim::AccessEvent>& events) {
   std::vector<EquivInterval> intervals;
   // Events arrive in program order; several may share one time (an
   // instruction reads before it writes). Each distinct access time `a`
-  // closes the interval (previous access time, a].
+  // closes the interval (previous access time, a], and the first event
+  // at `a` decides whether a flip in it is read or overwritten.
   std::uint64_t next_lo = 0;
   for (const sim::AccessEvent& event : events) {
     if (event.time < next_lo) continue;  // same-time access: already closed
-    intervals.push_back({next_lo, event.time});
+    intervals.push_back({next_lo, event.time, !event.is_write});
     next_lo = event.time + 1;
   }
   return intervals;
@@ -24,7 +39,7 @@ std::vector<EquivInterval> BuildAccessIntervals(
 void FaultSpacePartition::Build(const sim::AccessRecorder& recorder,
                                 std::uint64_t end_time) {
   end_time_ = end_time;
-  for (unsigned reg = 0; reg < 16; ++reg) {
+  for (unsigned reg = 1; reg < 16; ++reg) {
     reg_intervals_[reg] = BuildAccessIntervals(recorder.register_events(reg));
   }
   mem_intervals_.clear();
@@ -38,18 +53,19 @@ void FaultSpacePartition::Build(const sim::AccessRecorder& recorder,
 
 const std::vector<EquivInterval>* FaultSpacePartition::IntervalsFor(
     const target::FaultTarget& target) const {
+  static const std::vector<EquivInterval> kNoAccesses;
   if (StartsWith(target.location, "cpu.regs.r")) {
     const auto reg = ParseUint64(target.location.substr(10));
-    if (!reg || *reg == 0 || *reg >= 16) return nullptr;
+    if (!reg || *reg >= 16) return &kNoAccesses;
     return &reg_intervals_[*reg];
   }
   if (StartsWith(target.location, "mem@")) {
     const auto address = ParseUint64(target.location.substr(4));
-    if (!address) return nullptr;
+    if (!address) return &kNoAccesses;
     const std::uint32_t byte =
         static_cast<std::uint32_t>(*address) + target.bit / 8;
     const auto it = mem_intervals_.find(byte & ~3u);
-    return it == mem_intervals_.end() ? nullptr : &it->second;
+    return it == mem_intervals_.end() ? &kNoAccesses : &it->second;
   }
   return nullptr;
 }
@@ -57,36 +73,33 @@ const std::vector<EquivInterval>* FaultSpacePartition::IntervalsFor(
 std::optional<EquivInterval> FaultSpacePartition::IntervalOf(
     const target::FaultTarget& target, std::uint64_t time) const {
   const std::vector<EquivInterval>* intervals = IntervalsFor(target);
-  if (intervals == nullptr || intervals->empty()) return std::nullopt;
-  // Binary search the sorted, contiguous partition.
-  std::size_t lo = 0;
-  std::size_t hi = intervals->size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if ((*intervals)[mid].hi < time) {
-      lo = mid + 1;
-    } else if ((*intervals)[mid].lo > time) {
-      hi = mid;
-    } else {
-      return (*intervals)[mid];
+  if (intervals == nullptr) return std::nullopt;
+  const EquivInterval* interval = FindInterval(*intervals, time);
+  if (interval == nullptr) return std::nullopt;
+  return *interval;
+}
+
+bool FaultSpacePartition::IsLive(const target::FaultTarget& target,
+                                 std::uint64_t time) const {
+  const std::vector<EquivInterval>* intervals = IntervalsFor(target);
+  if (intervals == nullptr) return true;
+  // Injection at or after the reference run's end never executes: the
+  // sampled trigger cannot fire once the workload has halted.
+  if (end_time_ != 0 && time >= end_time_) return false;
+  const EquivInterval* interval = FindInterval(*intervals, time);
+  return interval != nullptr && interval->read_closed;
+}
+
+double FaultSpacePartition::RegisterLiveFraction() const {
+  if (end_time_ == 0) return 0.0;
+  std::uint64_t live = 0;
+  for (unsigned reg = 1; reg < 16; ++reg) {
+    for (const EquivInterval& interval : reg_intervals_[reg]) {
+      if (interval.read_closed) live += interval.weight();
     }
   }
-  return std::nullopt;  // past the last access: the fault is never read
-}
-
-std::size_t FaultSpacePartition::register_interval_count() const {
-  std::size_t count = 0;
-  for (unsigned reg = 1; reg < 16; ++reg) count += reg_intervals_[reg].size();
-  return count;
-}
-
-std::size_t FaultSpacePartition::memory_interval_count() const {
-  std::size_t count = 0;
-  for (const auto& [address, intervals] : mem_intervals_) {
-    (void)address;
-    count += intervals.size();
-  }
-  return count;
+  return static_cast<double>(live) /
+         (15.0 * static_cast<double>(end_time_));
 }
 
 std::string EquivalenceClassId(const target::FaultTarget& target,

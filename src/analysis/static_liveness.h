@@ -1,8 +1,9 @@
 // Static pre-run liveness of a GOOFI-32 workload: the analysis-layer
 // façade the campaign runner and the linter consume.
 //
-// Where core::PreInjectionAnalysis (paper §4, Barbosa et al.) derives
-// live (location, time) points from the *reference run's* access trace,
+// Where the def-use index (analysis/equivalence.h; paper §4's
+// pre-injection analysis, Barbosa et al.) derives live (location, time)
+// points from the *reference run's* access trace,
 // StaticLiveness derives a conservative over-approximation from the
 // workload image alone — before any run. Campaigns use it to drop fault
 // locations that are provably dead on every path (a register no

@@ -2,25 +2,8 @@
 
 #include "core/goofi_schema.h"
 #include "core/registry.h"
-#include "target/workloads.h"
-#include "util/strings.h"
 
 namespace goofi::core {
-
-Result<std::unique_ptr<target::TargetSystemInterface>> MakeTarget(
-    const std::string& target_name, const std::string& workload) {
-  ASSIGN_OR_RETURN(auto target,
-                   TargetRegistry::Instance().Create(target_name));
-  if (workload.empty()) {
-    return target;
-  }
-  ASSIGN_OR_RETURN(target::WorkloadSpec spec,
-                   EndsWith(workload, ".workload")
-                       ? target::LoadWorkloadSpecFromFile(workload)
-                       : target::GetBuiltinWorkload(workload));
-  RETURN_IF_ERROR(target->SetWorkload(std::move(spec)));
-  return target;
-}
 
 Result<db::Database> OpenOrCreate(const std::string& dir) {
   Result<db::Database> opened = db::Database::Open(dir);
@@ -48,7 +31,8 @@ Result<bool> StoreCampaignOnce(db::Database& database,
           .has_value()) {
     return true;
   }
-  ASSIGN_OR_RETURN(auto target, MakeTarget(config.target, ""));
+  ASSIGN_OR_RETURN(auto target,
+                   TargetRegistry::Instance().Create(config.target));
   RETURN_IF_ERROR(
       RegisterTargetSystem(database, *target, "goofi-tool-card", ""));
   RETURN_IF_ERROR(StoreCampaign(database, config));

@@ -8,12 +8,10 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 
 #include "core/campaign.h"
 #include "db/database.h"
-#include "target/fault_injection_algorithms.h"
 #include "util/status.h"
 
 namespace goofi::core {
@@ -22,11 +20,6 @@ namespace goofi::core {
 // canonical order, so serial, --jobs N, daemon and one-shot runs flush
 // (and can be killed) at the same byte offsets.
 inline constexpr std::size_t kCommitEveryExperiments = 32;
-
-// A registered target with `workload` installed: a built-in workload
-// name, a path ending in ".workload", or empty for none.
-Result<std::unique_ptr<target::TargetSystemInterface>> MakeTarget(
-    const std::string& target_name, const std::string& workload);
 
 // Open the campaign database in `dir`, or create it there when `dir`
 // holds none: the new database's first commit is the GOOFI schema. A

@@ -1,12 +1,13 @@
 #include "core/crosscheck.h"
 
+#include <algorithm>
+
 #include "analysis/dataflow.h"
 #include "analysis/equivalence.h"
 #include "analysis/static_liveness.h"
 #include "core/campaign.h"
 #include "core/experiment_codec.h"
 #include "core/goofi_schema.h"
-#include "core/preinjection.h"
 #include "core/registry.h"
 #include "core/runner.h"
 #include "sim/access_recorder.h"
@@ -56,7 +57,7 @@ Result<std::vector<CrossCheckViolation>> CrossCheckWorkload(
   target.set_external_tracer(nullptr);
   const target::Observation observation = target.TakeObservation();
 
-  PreInjectionAnalysis dynamic;
+  analysis::FaultSpacePartition dynamic;
   dynamic.Build(recorder, observation.instructions);
   const std::vector<std::uint32_t>& pc_trace = recorder.pc_trace();
 
@@ -74,16 +75,25 @@ Result<std::vector<CrossCheckViolation>> CrossCheckWorkload(
   }
 
   // Dynamic register liveness must imply static may-liveness at the pc
-  // of the instruction the injection would land in front of.
+  // of the instruction the injection would land in front of. Adjacent
+  // read-closed intervals form one live span; one violation per span
+  // keeps reports readable.
   for (unsigned reg = 1; reg < 16; ++reg) {
-    for (const auto& [first, last] : dynamic.register_intervals(reg).spans) {
-      for (std::uint64_t time = first;
-           time <= last && time < pc_trace.size(); ++time) {
+    bool span_reported = false;
+    for (const analysis::EquivInterval& interval :
+         dynamic.register_intervals(reg)) {
+      if (!interval.read_closed) {
+        span_reported = false;
+        continue;
+      }
+      for (std::uint64_t time = interval.lo;
+           !span_reported && time <= interval.hi && time < pc_trace.size();
+           ++time) {
         if (!static_liveness.MayBeLiveAtPc(static_cast<std::uint8_t>(reg),
                                            pc_trace[time])) {
           violations.push_back({workload_name, "register", time,
                                 pc_trace[time], reg});
-          break;  // one per (reg, span) keeps reports readable
+          span_reported = true;
         }
       }
     }
@@ -91,8 +101,12 @@ Result<std::vector<CrossCheckViolation>> CrossCheckWorkload(
 
   // Dynamic memory liveness must imply the word can statically be read.
   for (const auto& [word, intervals] : dynamic.memory_intervals()) {
-    if (intervals.spans.empty()) continue;
-    if (!static_liveness.MayWordHoldLiveData(word)) {
+    const bool live = std::any_of(
+        intervals.begin(), intervals.end(),
+        [](const analysis::EquivInterval& interval) {
+          return interval.read_closed;
+        });
+    if (live && !static_liveness.MayWordHoldLiveData(word)) {
       violations.push_back({workload_name, "memory", 0, 0, word});
     }
   }
@@ -105,14 +119,11 @@ Result<std::vector<CrossCheckViolation>> CrossCheckWorkload(
   const analysis::FirstUseResult first_uses =
       analysis::ComputeFirstUses(static_liveness.cfg());
   for (unsigned reg = 1; reg < 16; ++reg) {
-    std::uint64_t next_lo = 0;
-    for (const sim::AccessEvent& event : recorder.register_events(reg)) {
-      const std::uint64_t lo = next_lo;
-      if (event.time >= next_lo) next_lo = event.time + 1;
-      if (event.is_write || event.time < lo) continue;
-      if (event.time >= pc_trace.size()) continue;
-      const std::uint32_t use_pc = pc_trace[event.time];
-      for (std::uint64_t time = lo; time <= event.time; ++time) {
+    for (const analysis::EquivInterval& interval :
+         dynamic.register_intervals(reg)) {
+      if (!interval.read_closed || interval.hi >= pc_trace.size()) continue;
+      const std::uint32_t use_pc = pc_trace[interval.hi];
+      for (std::uint64_t time = interval.lo; time <= interval.hi; ++time) {
         if (!first_uses.MayFirstUseAt(static_cast<std::uint8_t>(reg),
                                       pc_trace[time], use_pc)) {
           violations.push_back({workload_name, "first-use", time,

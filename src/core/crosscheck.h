@@ -1,17 +1,20 @@
 // Static-vs-dynamic cross-check: the static analyzer's soundness gate.
 //
 // analysis::StaticLiveness prunes fault locations before any run; the
-// dynamic core::PreInjectionAnalysis filters (location, time) points
-// using the reference run's access trace. For the pruning to be sound
-// the static answer must be a SUPERSET of the dynamic one on every
-// fault-free run:
+// dynamic liveness filter reads the def-use index
+// (analysis::FaultSpacePartition) of the reference run's access trace.
+// For the pruning to be sound the static answer must be a SUPERSET of
+// the dynamic one on every fault-free run:
 //
 //   dynamic live(reg, t)   ==>  static MayBeLiveAtPc(reg, pc_at(t))
 //   dynamic live(word, t)  ==>  static MayWordHoldLiveData(word)
+//   read at r closing the interval of t
+//                          ==>  static MayFirstUseAt(reg, pc_at(t), pc_at(r))
 //   and every executed pc  ==>  statically reachable.
 //
 // CrossCheckWorkload runs the workload's reference run on a Thor RD
-// target, builds both analyses and reports every violation;
+// target, builds the static analysis and the def-use index, walks the
+// index's read-closed intervals and reports every violation;
 // tests/analysis/crosscheck_test.cpp fails if any built-in workload
 // produces one.
 // The equivalence analogue (analysis/equivalence.h) has its own, fully

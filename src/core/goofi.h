@@ -24,6 +24,7 @@
 // See examples/quickstart.cpp for the runnable version.
 #pragma once
 
+#include "analysis/equivalence.h"
 #include "analysis/linter.h"
 #include "analysis/static_liveness.h"
 #include "core/analysis.h"
@@ -34,7 +35,6 @@
 #include "core/goofi_schema.h"
 #include "core/location.h"
 #include "core/plugin.h"
-#include "core/preinjection.h"
 #include "core/propagation.h"
 #include "core/registry.h"
 #include "core/runner.h"

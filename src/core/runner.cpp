@@ -322,14 +322,11 @@ Result<PreparedCampaign> PrepareCampaignRun(
   std::vector<sim::Snapshot> recorded_checkpoints;
   if (checkpoint_eligible) {
     // Default stride: a tenth of the effective tool-level instruction
-    // budget (spec beats workload beats the global 2M bound, matching
-    // ResolveSupervisionPolicy).
+    // budget.
     std::uint64_t stride = prepared.config.checkpoint_stride;
     if (stride == 0) {
-      std::uint64_t budget = prepared.config.termination.max_instructions != 0
-                                 ? prepared.config.termination.max_instructions
-                                 : workload.termination.max_instructions;
-      if (budget == 0) budget = 2'000'000;
+      const std::uint64_t budget = target::EffectiveInstructionBudget(
+          prepared.config.termination, workload.termination);
       stride = std::max<std::uint64_t>(1, budget / 10);
     }
     reference_target->set_checkpoint_recording(stride, &recorded_checkpoints);
@@ -360,11 +357,12 @@ Result<PreparedCampaign> PrepareCampaignRun(
   }
 
   prepared.use_preinjection = prepared.config.use_preinjection_analysis;
+  if (prepared.use_preinjection || prepared.config.use_equivalence) {
+    prepared.def_use.Build(recorder, prepared.summary.reference.instructions);
+  }
   if (prepared.use_preinjection) {
-    prepared.preinjection.Build(recorder,
-                                prepared.summary.reference.instructions);
     prepared.summary.register_live_fraction =
-        prepared.preinjection.RegisterLiveFraction();
+        prepared.def_use.RegisterLiveFraction();
   }
 
   // ---- location space and time window ----------------------------------
@@ -441,8 +439,6 @@ Result<PreparedCampaign> PrepareCampaignRun(
   // locations — or past a location's last access — fall back to
   // singleton classes: never unsound, only less pruned.
   if (prepared.config.use_equivalence) {
-    analysis::FaultSpacePartition partition;
-    partition.Build(recorder, prepared.summary.reference.instructions);
     const ExperimentPlan plan = prepared.MakePlan();  // equivalence still empty
     std::map<std::string, std::size_t> representatives;
     std::uint64_t planning_resamples = 0;  // run-time loop re-counts these
@@ -453,7 +449,7 @@ Result<PreparedCampaign> PrepareCampaignRun(
       const target::FaultTarget& fault_target = spec.targets[0];
       const std::uint64_t time = spec.trigger.count;
       PlannedEquivalence planned;
-      const auto interval = partition.IntervalOf(fault_target, time);
+      const auto interval = prepared.def_use.IntervalOf(fault_target, time);
       std::uint64_t lo = time;
       std::uint64_t hi = time;
       if (interval.has_value()) {

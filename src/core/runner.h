@@ -35,10 +35,10 @@
 #include <optional>
 #include <string>
 
+#include "analysis/equivalence.h"
 #include "core/campaign.h"
 #include "core/checkpoint.h"
 #include "core/location.h"
-#include "core/preinjection.h"
 #include "core/supervision.h"
 #include "util/rng.h"
 #include "db/database.h"
@@ -172,7 +172,9 @@ struct ExperimentPlan {
   std::vector<target::TargetSystemInterface::LocationInfo> locations;
   std::uint64_t window_lo = 1;
   std::uint64_t window_hi = 1;
-  const PreInjectionAnalysis* preinjection = nullptr;  // null = analysis off
+  // The golden run's def-use index as the pre-injection liveness filter
+  // (null = filter off).
+  const analysis::FaultSpacePartition* preinjection = nullptr;
   // Golden-run checkpoints to fork experiments from (null = replay every
   // experiment from reset). Read-only during the run, like the rest of
   // the plan; workers front it with their own CheckpointCache.
@@ -226,13 +228,16 @@ Status UpdateCampaignRunStatus(db::Database& database,
 
 // The shared front half of a campaign run: load the stored campaign,
 // install the workload on `reference_target`, run the static analysis,
-// make (and log) the reference run, build the pre-injection analysis
-// and the location space / time window. The returned value owns
-// everything MakePlan() points into; keep it alive for the whole run.
+// make (and log) the reference run, build the def-use index and the
+// location space / time window. The returned value owns everything
+// MakePlan() points into; keep it alive for the whole run.
 struct PreparedCampaign {
   CampaignConfig config;
   LocationSpace space;
-  PreInjectionAnalysis preinjection;
+  // The golden run's def-use index: built once when the campaign
+  // enables the liveness filter (`use_preinjection`) or equivalence
+  // partitioning, both of which read it.
+  analysis::FaultSpacePartition def_use;
   bool use_preinjection = false;
   std::vector<target::TargetSystemInterface::LocationInfo> locations;
   std::uint64_t window_lo = 1;
@@ -262,7 +267,7 @@ struct PreparedCampaign {
     plan.locations = locations;
     plan.window_lo = window_lo;
     plan.window_hi = window_hi;
-    plan.preinjection = use_preinjection ? &preinjection : nullptr;
+    plan.preinjection = use_preinjection ? &def_use : nullptr;
     plan.checkpoints = checkpoint_fork ? &checkpoints : nullptr;
     plan.equivalence = config.use_equivalence ? &equivalence : nullptr;
     return plan;

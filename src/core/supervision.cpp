@@ -15,10 +15,6 @@ Result<target::WorkloadSpec> ConfigureTargetWorkload(
 
 namespace {
 
-// Matches ThorRdTarget's global experiment budget: the bound that makes
-// every simulated run finite even with all EDMs disabled.
-constexpr std::uint64_t kGlobalInstructionBudget = 2'000'000;
-
 // ---- the reaper -------------------------------------------------------
 // Process-wide bookkeeping of abandoned (wedged) target instances. The
 // detached thread that is still inside RunExperiment() owns its corpse;
@@ -163,11 +159,8 @@ SupervisionPolicy ResolveSupervisionPolicy(
     policy.experiment_timeout_ms = config.experiment_timeout_ms;
     return policy;
   }
-  std::uint64_t budget = config.termination.max_instructions != 0
-                             ? config.termination.max_instructions
-                             : workload.max_instructions;
-  if (budget == 0) budget = kGlobalInstructionBudget;
-  policy.experiment_timeout_ms = DeriveExperimentTimeoutMs(budget);
+  policy.experiment_timeout_ms = DeriveExperimentTimeoutMs(
+      target::EffectiveInstructionBudget(config.termination, workload));
   return policy;
 }
 

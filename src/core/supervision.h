@@ -59,8 +59,8 @@ struct SupervisionPolicy {
 std::uint64_t DeriveExperimentTimeoutMs(std::uint64_t max_instructions);
 
 // Resolve the campaign's supervision keys against the workload's
-// tool-level termination defaults (spec beats workload beats the global
-// budget, exactly like ThorRdTarget::ResolveTermination).
+// tool-level termination defaults (the deadline derives from
+// target::EffectiveInstructionBudget, the budget the target runs under).
 SupervisionPolicy ResolveSupervisionPolicy(
     const CampaignConfig& config, const target::TerminationSpec& workload);
 

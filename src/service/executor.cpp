@@ -8,25 +8,20 @@ namespace goofi::service {
 namespace {
 
 Result<core::CampaignConfig> ParseSubmissionConfig(
-    const std::string& config_text, std::string* workload_file) {
+    const std::string& config_text) {
   ASSIGN_OR_RETURN(const Config file, Config::Parse(config_text));
   const ConfigSection* section = file.FindSection("campaign");
   if (section == nullptr) {
     return InvalidArgumentError("submission has no [campaign] section");
   }
-  ASSIGN_OR_RETURN(core::CampaignConfig config,
-                   core::ParseCampaignConfig(*section));
-  if (workload_file != nullptr) {
-    *workload_file = section->GetStringOr("workload_file", "");
-  }
-  return config;
+  return core::ParseCampaignConfig(*section);
 }
 
 }  // namespace
 
 Result<SubmissionInfo> InspectSubmission(const std::string& config_text) {
   ASSIGN_OR_RETURN(const core::CampaignConfig config,
-                   ParseSubmissionConfig(config_text, nullptr));
+                   ParseSubmissionConfig(config_text));
   SubmissionInfo info;
   info.name = config.name;
   info.jobs = config.jobs;
@@ -48,18 +43,16 @@ Result<SubmissionInfo> InspectSubmission(const std::string& config_text) {
 
 Result<core::CampaignSummary> ExecuteSubmission(
     const ExecutionRequest& request) {
-  std::string workload_file;
   ASSIGN_OR_RETURN(const core::CampaignConfig config,
-                   ParseSubmissionConfig(request.config_text,
-                                         &workload_file));
+                   ParseSubmissionConfig(request.config_text));
   ASSIGN_OR_RETURN(db::Database database, core::OpenOrCreate(request.db_dir));
   // Resume is decided by the results database, not by daemon memory: a
   // stored campaign row means an earlier life already started this run.
   ASSIGN_OR_RETURN(const bool resume,
                    core::StoreCampaignOnce(database, config));
 
-  target::TargetFactory factory = [name = config.target, workload_file]() {
-    return core::MakeTarget(name, workload_file);
+  target::TargetFactory factory = [name = config.target]() {
+    return core::TargetRegistry::Instance().Create(name);
   };
   core::CampaignRunner runner(&database, factory, request.jobs);
   runner.set_controller(request.controller);

@@ -4,8 +4,8 @@
 // extension: "to determine when registers and other fault injection
 // locations hold live data. Injecting a fault into a location that does
 // not hold live data serves no purpose, since the fault will be
-// overwritten." core/preinjection.* turns these event streams into
-// liveness intervals.
+// overwritten." analysis/equivalence.* turns these event streams into
+// the def-use index that answers it.
 #pragma once
 
 #include <cstdint>

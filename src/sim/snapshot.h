@@ -97,8 +97,8 @@ struct FaultInjectorState {
   std::uint64_t inflight_flips = 0;
 };
 
-// The pre-injection analysis tracer's event streams (core/preinjection
-// rebuilds liveness intervals from these).
+// The pre-injection analysis tracer's event streams (analysis/equivalence
+// builds its def-use index from these).
 struct AccessRecorderState {
   std::array<std::vector<AccessEvent>, 16> reg_events;
   std::map<std::uint32_t, std::vector<AccessEvent>> mem_events;

@@ -32,10 +32,6 @@ std::optional<std::uint32_t> EatNumber(const std::string& text,
   return static_cast<std::uint32_t>(value);
 }
 
-bool IsMemoryLocation(const std::string& location) {
-  return StartsWith(location, "mem@");
-}
-
 }  // namespace
 
 const char* CacheFaultModelName(CacheFaultModel model) {
@@ -213,48 +209,15 @@ Status CacheHierarchyTarget::ArmCacheFault(ArmedCacheFault coordinate,
   return Status::Ok();
 }
 
-Status CacheHierarchyTarget::injectFault() {
-  const bool needs_trigger = spec_.technique != Technique::kSwifiPreRuntime;
-  if (needs_trigger && !breakpoint_hit()) return Status::Ok();
-  for (const FaultTarget& fault : spec_.targets) {
-    const auto coordinate = ParseCacheCoordinate(fault.location);
-    if (coordinate.has_value()) {
-      if (spec_.technique == Technique::kSwifiPreRuntime) {
-        return InvalidArgumentError(
-            "cache coordinates are runtime access-path locations: " +
-            fault.location);
-      }
-      RETURN_IF_ERROR(ArmCacheFault(*coordinate, fault));
-      continue;
-    }
-    // Not a cache coordinate: the base target's Fig. 3 dispatch.
-    switch (spec_.technique) {
-      case Technique::kScifi:
-        if (IsMemoryLocation(fault.location)) {
-          return InvalidArgumentError(
-              "SCIFI reaches scan elements, not memory: " + fault.location);
-        }
-        RETURN_IF_ERROR(InjectIntoImage(fault));
-        break;
-      case Technique::kSwifiPreRuntime:
-        if (!IsMemoryLocation(fault.location)) {
-          return InvalidArgumentError(
-              "pre-runtime SWIFI reaches the memory image only: " +
-              fault.location);
-        }
-        RETURN_IF_ERROR(InjectIntoMemory(fault));
-        break;
-      case Technique::kSwifiRuntime:
-        if (IsMemoryLocation(fault.location)) {
-          RETURN_IF_ERROR(InjectIntoMemory(fault));
-        } else {
-          RETURN_IF_ERROR(InjectIntoCpu(fault));
-        }
-        break;
-    }
+Status CacheHierarchyTarget::InjectFaultTarget(const FaultTarget& fault) {
+  const auto coordinate = ParseCacheCoordinate(fault.location);
+  if (!coordinate.has_value()) return ThorRdTarget::InjectFaultTarget(fault);
+  if (spec_.technique == Technique::kSwifiPreRuntime) {
+    return InvalidArgumentError(
+        "cache coordinates are runtime access-path locations: " +
+        fault.location);
   }
-  observation_.fault_was_injected = !spec_.targets.empty();
-  return Status::Ok();
+  return ArmCacheFault(*coordinate, fault);
 }
 
 std::unique_ptr<CacheHierarchyTarget> MakeCacheHierarchyTarget() {

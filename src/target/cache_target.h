@@ -71,7 +71,9 @@ class CacheHierarchyTarget : public ThorRdTarget {
 
  protected:
   Status initTestCard() override;
-  Status injectFault() override;
+  // Arms access-path coordinates; every other location takes the base
+  // target's dispatch.
+  Status InjectFaultTarget(const FaultTarget& fault) override;
 
  private:
   Status ArmCacheFault(sim::ArmedCacheFault coordinate,

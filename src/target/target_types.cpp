@@ -8,6 +8,13 @@
 
 namespace goofi::target {
 
+std::uint64_t EffectiveInstructionBudget(const TerminationSpec& experiment,
+                                         const TerminationSpec& workload) {
+  if (experiment.max_instructions != 0) return experiment.max_instructions;
+  if (workload.max_instructions != 0) return workload.max_instructions;
+  return 2'000'000;
+}
+
 const char* TechniqueName(Technique technique) {
   switch (technique) {
     case Technique::kScifi: return "scifi";

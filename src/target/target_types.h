@@ -73,6 +73,15 @@ struct TerminationSpec {
   std::uint64_t max_iterations = 0;
 };
 
+// The tool-level instruction budget a run executes under: the
+// experiment's (campaign's) bound beats the workload's default, which
+// beats a global 2,000,000 — well past any built-in workload, but
+// bounded so a corrupted target with every EDM disabled still
+// terminates. Targets stop runs at it; supervision deadlines and
+// checkpoint strides derive from it.
+std::uint64_t EffectiveInstructionBudget(const TerminationSpec& experiment,
+                                         const TerminationSpec& workload);
+
 // Paper §3.3: normal logging records the final system state only;
 // detail mode additionally captures the internal scan chain after every
 // instruction ("the state ... is logged after each instruction").

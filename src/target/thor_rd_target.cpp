@@ -8,11 +8,6 @@
 namespace goofi::target {
 namespace {
 
-// Global experiment budget when neither the spec nor the workload sets
-// one: well past any built-in workload, but bounded so a corrupted
-// target with every EDM disabled still terminates.
-constexpr std::uint64_t kDefaultInstructionBudget = 2'000'000;
-
 bool IsMemoryLocation(const std::string& location) {
   return StartsWith(location, "mem@");
 }
@@ -107,12 +102,8 @@ Status ThorRdTarget::SetWorkload(WorkloadSpec workload) {
 ThorRdTarget::EffectiveTermination ThorRdTarget::ResolveTermination()
     const {
   EffectiveTermination term;
-  term.max_instructions = spec_.termination.max_instructions != 0
-                              ? spec_.termination.max_instructions
-                              : workload_.termination.max_instructions;
-  if (term.max_instructions == 0) {
-    term.max_instructions = kDefaultInstructionBudget;
-  }
+  term.max_instructions =
+      EffectiveInstructionBudget(spec_.termination, workload_.termination);
   term.max_iterations = spec_.termination.max_iterations != 0
                             ? spec_.termination.max_iterations
                             : workload_.termination.max_iterations;
@@ -333,33 +324,32 @@ Status ThorRdTarget::injectFault() {
   const bool needs_trigger = spec_.technique != Technique::kSwifiPreRuntime;
   if (needs_trigger && !breakpoint_hit_) return Status::Ok();
   for (const FaultTarget& fault : spec_.targets) {
-    switch (spec_.technique) {
-      case Technique::kScifi:
-        if (IsMemoryLocation(fault.location)) {
-          return InvalidArgumentError(
-              "SCIFI reaches scan elements, not memory: " + fault.location);
-        }
-        RETURN_IF_ERROR(InjectIntoImage(fault));
-        break;
-      case Technique::kSwifiPreRuntime:
-        if (!IsMemoryLocation(fault.location)) {
-          return InvalidArgumentError(
-              "pre-runtime SWIFI reaches the memory image only: " +
-              fault.location);
-        }
-        RETURN_IF_ERROR(InjectIntoMemory(fault));
-        break;
-      case Technique::kSwifiRuntime:
-        if (IsMemoryLocation(fault.location)) {
-          RETURN_IF_ERROR(InjectIntoMemory(fault));
-        } else {
-          RETURN_IF_ERROR(InjectIntoCpu(fault));
-        }
-        break;
-    }
+    RETURN_IF_ERROR(InjectFaultTarget(fault));
   }
   observation_.fault_was_injected = !spec_.targets.empty();
   return Status::Ok();
+}
+
+Status ThorRdTarget::InjectFaultTarget(const FaultTarget& fault) {
+  switch (spec_.technique) {
+    case Technique::kScifi:
+      if (IsMemoryLocation(fault.location)) {
+        return InvalidArgumentError(
+            "SCIFI reaches scan elements, not memory: " + fault.location);
+      }
+      return InjectIntoImage(fault);
+    case Technique::kSwifiPreRuntime:
+      if (!IsMemoryLocation(fault.location)) {
+        return InvalidArgumentError(
+            "pre-runtime SWIFI reaches the memory image only: " +
+            fault.location);
+      }
+      return InjectIntoMemory(fault);
+    case Technique::kSwifiRuntime:
+      return IsMemoryLocation(fault.location) ? InjectIntoMemory(fault)
+                                              : InjectIntoCpu(fault);
+  }
+  return InternalError("unknown technique");
 }
 
 Status ThorRdTarget::writeScanChain() {

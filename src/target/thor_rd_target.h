@@ -65,16 +65,19 @@ class ThorRdTarget : public TargetSystemInterface {
   Status waitForTermination() override;
   Status readMemory() override;
 
-  // Fault-application helpers, shared with derived targets (the cache
-  // hierarchy target delegates non-cache locations to these): apply one
-  // fault model instance to a scan element (directly on the CPU for
-  // runtime SWIFI) or to target memory.
+  // injectFault's step for one of the spec's targets, in spec order:
+  // the technique x location dispatch onto the helpers below. Derived
+  // targets intercept the locations they own (the cache hierarchy
+  // target's access-path coordinates) and defer the rest here.
+  virtual Status InjectFaultTarget(const FaultTarget& fault);
+
+ private:
+  // Apply one fault model instance to a scan element (directly on the
+  // CPU for runtime SWIFI) or to target memory.
   Status InjectIntoImage(const FaultTarget& fault);     // SCIFI snapshot
   Status InjectIntoCpu(const FaultTarget& fault);       // runtime SWIFI
   Status InjectIntoMemory(const FaultTarget& fault);    // SWIFI variants
-  bool breakpoint_hit() const { return breakpoint_hit_; }
 
- private:
   // Fans the CPU's trace events out to the campaign's external tracer
   // and, in detail mode, captures the internal chain image after every
   // retired instruction (paper §3.3).

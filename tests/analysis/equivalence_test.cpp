@@ -31,6 +31,11 @@ TEST(BuildAccessIntervalsTest, EveryAccessClosesAnInterval) {
   EXPECT_EQ(intervals[2].lo, 8u);
   EXPECT_EQ(intervals[2].hi, 9u);
   EXPECT_EQ(intervals[1].weight(), 4u);
+  // The closing access decides liveness: only the reads close live
+  // intervals.
+  EXPECT_FALSE(intervals[0].read_closed);
+  EXPECT_TRUE(intervals[1].read_closed);
+  EXPECT_TRUE(intervals[2].read_closed);
 }
 
 TEST(BuildAccessIntervalsTest, SameTimeAccessesCollapse) {
@@ -44,6 +49,8 @@ TEST(BuildAccessIntervalsTest, SameTimeAccessesCollapse) {
   EXPECT_EQ(intervals[0].hi, 2u);
   EXPECT_EQ(intervals[1].lo, 3u);
   EXPECT_EQ(intervals[1].hi, 5u);
+  // The first event at t=2 is the read: a flip before it is consumed.
+  EXPECT_TRUE(intervals[0].read_closed);
 }
 
 TEST(FaultSpacePartitionTest, RegisterLookupFindsTheEnclosingInterval) {
@@ -68,7 +75,7 @@ TEST(FaultSpacePartitionTest, RegisterLookupFindsTheEnclosingInterval) {
   // A register the trace never touched has no classes either.
   EXPECT_FALSE(
       partition.IntervalOf({"cpu.regs.r9", 0}, 1).has_value());
-  EXPECT_EQ(partition.register_interval_count(), 3u);
+  EXPECT_EQ(partition.register_intervals(3).size(), 3u);
 }
 
 TEST(FaultSpacePartitionTest, MemoryLookupResolvesByteAndBitToTheWord) {
@@ -86,7 +93,8 @@ TEST(FaultSpacePartitionTest, MemoryLookupResolvesByteAndBitToTheWord) {
   EXPECT_EQ(interval->lo, 4u);
   EXPECT_EQ(interval->hi, 8u);
   EXPECT_FALSE(partition.IntervalOf({"mem@0x20000", 0}, 5).has_value());
-  EXPECT_EQ(partition.memory_interval_count(), 2u);
+  ASSERT_EQ(partition.memory_intervals().size(), 1u);
+  EXPECT_EQ(partition.memory_intervals().at(0x10004).size(), 2u);
 }
 
 TEST(FaultSpacePartitionTest, UnmodeledLocationsHaveNoIntervals) {

@@ -8,7 +8,8 @@
 #
 #   equivalence_matrix_test.sh <goofi_tool> <campaigns dir> <row>
 #
-# Rows: regs_scifi, supervised, checkpoint, cache, equivalence.
+# Rows: regs_scifi, supervised, checkpoint, cache, equivalence,
+# preinjection.
 set -eu
 
 TOOL="$1"
@@ -100,6 +101,21 @@ case "$ROW" in
       > equivcheck.log || fail "equivcheck exited $?"
     grep -F 'all outcome-homogeneous' equivcheck.log \
       || fail "equivcheck found a heterogeneous class"
+    ;;
+  preinjection)
+    # The liveness filter alone: the resample sequence is a pure
+    # function of the plan, so workers and checkpoint fork change no
+    # byte.
+    run engine_preinjection serial
+    run engine_preinjection jobs4 --jobs 4
+    run engine_preinjection nockpt --checkpoint off
+    run engine_preinjection fork --checkpoint on
+    grep -F 'campaign engine_preinjection: 400 experiments run (0 skipped early)' \
+      serial.log || fail "serial: experiments lost"
+    forked fork
+    same serial jobs4
+    same serial nockpt
+    same serial fork
     ;;
   *)
     fail "unknown row '$ROW'"

@@ -222,6 +222,38 @@ TEST_F(EquivalenceCampaignTest, CrossCheckDetectsATamperedRepresentative) {
             std::string::npos);
 }
 
+// The planning figures of two fixed campaigns, recorded when liveness
+// was still computed by a separate merged-span builder: one def-use
+// index now answers both the liveness filter and the partition, and
+// neither the resample sequence, nor the live fraction (bit for bit),
+// nor the class counts may move.
+TEST_F(EquivalenceCampaignTest, PlanningFiguresArePinned) {
+  CampaignConfig liveness = MakeConfig("pinned_liveness");
+  liveness.use_static_analysis = false;
+  liveness.use_equivalence = false;
+  liveness.time_window_hi = 0;  // the whole run
+  const CampaignConfig equivalence = MakeConfig("pinned_equiv");
+
+  const auto run = [&](const CampaignConfig& config) {
+    db::Database database;
+    SetUpDatabase(database, config);
+    target::ThorRdTarget target;
+    auto summary = CampaignRunner(&database, &target).Run(config.name);
+    EXPECT_TRUE(summary.ok()) << summary.status().ToString();
+    return summary.ok() ? *summary : CampaignSummary{};
+  };
+  const CampaignSummary live = run(liveness);
+  EXPECT_EQ(live.preinjection_resamples, 461u);
+  EXPECT_EQ(live.register_live_fraction, 0x1.f507507507507p-3);
+
+  const CampaignSummary equiv = run(equivalence);
+  EXPECT_EQ(equiv.preinjection_resamples, 161u);
+  EXPECT_EQ(equiv.register_live_fraction, 0x1.f507507507507p-3);
+  EXPECT_EQ(equiv.equiv_classes, 150u);
+  EXPECT_EQ(equiv.equiv_duplicates, 10u);
+  EXPECT_EQ(equiv.equiv_space_weight, 543u);
+}
+
 TEST_F(EquivalenceCampaignTest, RejectsCombinationsTheTheoryCannotCover) {
   db::Database database;
   CampaignConfig config = MakeConfig("equiv_bad");

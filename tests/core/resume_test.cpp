@@ -230,7 +230,7 @@ TEST_F(ResumeTest, DrainBeforeFirstExperimentResumesToOneShotBytes) {
   CampaignConfig config = MakeConfig("drain0");
   config.num_experiments = 40;  // past one cadence commit
   const target::TargetFactory factory = [] {
-    return MakeTarget("thor_rd", "");
+    return TargetRegistry::Instance().Create("thor_rd");
   };
   const auto run = [&](const std::string& dir, bool resume,
                        CampaignController* controller) {

@@ -1,5 +1,5 @@
-// Value types of the target layer: enum name round-trips and the
-// Observation text codec that LoggedSystemState.stateVector stores.
+// Value types of the target layer: enum name round-trips, the
+// instruction-budget rule and the Observation text codec that LoggedSystemState.stateVector stores.
 #include "target/target_types.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,12 @@ TEST(TargetTypesTest, TechniqueNamesRoundTrip) {
   }
   EXPECT_FALSE(TechniqueFromName("laser").has_value());
   EXPECT_FALSE(TechniqueFromName("").has_value());
+}
+
+TEST(TargetTypesTest, InstructionBudgetCampaignBeatsWorkloadBeatsGlobal) {
+  EXPECT_EQ(EffectiveInstructionBudget({500, 7}, {9000, 0}), 500u);
+  EXPECT_EQ(EffectiveInstructionBudget({0, 7}, {9000, 0}), 9000u);
+  EXPECT_EQ(EffectiveInstructionBudget({0, 0}, {0, 3}), 2'000'000u);
 }
 
 TEST(TargetTypesTest, FaultModelKindNamesRoundTrip) {
