@@ -19,16 +19,16 @@ namespace {
 
 struct ModeSetup {
   const char* name;
-  bool use_static = false;
+  goofi::core::StaticAnalysis static_analysis =
+      goofi::core::StaticAnalysis::kOff;
   bool use_liveness = false;
-  bool use_equivalence = false;
 };
 
 constexpr ModeSetup kModes[] = {
     {"random"},
-    {"static", true, false, false},
-    {"liveness", false, true, false},
-    {"equivalence", true, true, true},
+    {"static", goofi::core::StaticAnalysis::kLiveness, false},
+    {"liveness", goofi::core::StaticAnalysis::kOff, true},
+    {"equivalence", goofi::core::StaticAnalysis::kEquivalence, true},
 };
 
 }  // namespace
@@ -55,9 +55,8 @@ int main() {
       config.num_experiments = 300;
       config.seed = 1234;
       config.location_filters = {"cpu.regs.*"};
-      config.use_static_analysis = mode.use_static;
+      config.static_analysis = mode.static_analysis;
       config.use_preinjection_analysis = mode.use_liveness;
-      config.use_equivalence = mode.use_equivalence;
       const bench::CampaignRun run =
           bench::RunCampaign(database, target, config);
       const std::size_t effective =
@@ -80,10 +79,11 @@ int main() {
       // equivalence = planned experiments not injected because their
       // class already has a representative.
       const double pruned =
-          mode.use_equivalence
+          mode.static_analysis == core::StaticAnalysis::kEquivalence
               ? static_cast<double>(run.summary.equiv_duplicates) /
                     static_cast<double>(config.num_experiments)
-          : mode.use_static ? run.summary.static_pruned_fraction
+          : mode.static_analysis == core::StaticAnalysis::kLiveness
+              ? run.summary.static_pruned_fraction
           : mode.use_liveness
               ? 1.0 - run.summary.register_live_fraction
               : 0.0;
@@ -141,9 +141,8 @@ int main() {
     config.num_experiments = scale.experiments;
     config.seed = 1234;
     config.location_filters = {"cpu.regs.*"};
-    config.use_static_analysis = true;
+    config.static_analysis = core::StaticAnalysis::kEquivalence;
     config.use_preinjection_analysis = true;
-    config.use_equivalence = true;
     config.time_window_hi = scale.window_hi;
     const bench::CampaignRun run =
         bench::RunCampaign(database, target, config);

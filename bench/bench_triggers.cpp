@@ -15,9 +15,12 @@ int main() {
   std::printf("%-12s %6s | %9s | %8s %8s %8s %8s\n", "trigger", "N",
               "fired", "detect", "escape", "latent", "overwr");
 
-  for (const std::string trigger :
-       {"instret", "rtc", "pc", "data_read", "data_write", "branch",
-        "call"}) {
+  using core::TriggerKind;
+  for (const TriggerKind kind :
+       {TriggerKind::kInstret, TriggerKind::kRtc, TriggerKind::kPc,
+        TriggerKind::kDataRead, TriggerKind::kDataWrite, TriggerKind::kBranch,
+        TriggerKind::kCall}) {
+    const std::string trigger = core::TriggerKindName(kind);
     db::Database database;
     target::ThorRdTarget target;
     core::CampaignConfig config;
@@ -26,7 +29,7 @@ int main() {
     config.num_experiments = 250;
     config.seed = 31337;
     config.location_filters = {"cpu.regs.*"};
-    config.trigger_kind = trigger;
+    config.trigger_kind = kind;
     const bench::CampaignRun run =
         bench::RunCampaign(database, target, config);
     const std::size_t fired =

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "analysis/linter.h"
+#include "core/campaign.h"
 #include "target/factory.h"
 #include "util/config.h"
 
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
     buffer << in.rdbuf();
     const std::vector<LintDiagnostic> found =
         EndsWith(file, ".ini")
-            ? goofi::analysis::LintCampaignText(
+            ? goofi::core::LintCampaignText(
                   file, buffer.str(),
                   inventory.ForCampaignText(buffer.str()))
             : goofi::analysis::LintWorkloadSource(file, buffer.str());

@@ -30,6 +30,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/campaign.h"
 #include "core/supervision.h"
 #include "service/server.h"
 #include "util/config.h"
@@ -62,13 +63,19 @@ bool LoadConfigFile(const char* path, service::ServiceConfig* config,
   }
   config->root = section->GetStringOr("root", config->root);
   *socket_path = section->GetStringOr("socket", *socket_path);
-  config->fleet_workers = static_cast<std::size_t>(section->GetIntOr(
-      "fleet_workers", static_cast<std::int64_t>(config->fleet_workers)));
-  config->queue_limit = static_cast<std::size_t>(section->GetIntOr(
-      "queue_limit", static_cast<std::int64_t>(config->queue_limit)));
-  config->max_campaign_jobs = static_cast<std::size_t>(section->GetIntOr(
-      "max_campaign_jobs",
-      static_cast<std::int64_t>(config->max_campaign_jobs)));
+  for (const auto& [key, count] :
+       {std::pair<const char*, std::size_t*>{"fleet_workers",
+                                             &config->fleet_workers},
+        {"queue_limit", &config->queue_limit},
+        {"max_campaign_jobs", &config->max_campaign_jobs}}) {
+    const auto parsed = core::ServiceCount(*section, key, *count);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "goofi_serve: %s: %s\n", path,
+                   parsed.status().ToString().c_str());
+      return false;
+    }
+    *count = *parsed;
+  }
   return true;
 }
 

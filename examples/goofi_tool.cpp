@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/goofi.h"
+#include "db/wal.h"
 #include "target/flaky_target.h"
 
 namespace {
@@ -125,25 +126,24 @@ int CmdRun(const Arguments& arguments, bool resume) {
   if (arguments.bad_checkpoint) {
     return Fail(InvalidArgumentError("--checkpoint takes 'on' or 'off'"));
   }
+  // A bad ini is rejected before the database is opened, so it never
+  // leaves a CampaignData row behind.
+  std::optional<core::CampaignConfig> config;
+  if (!resume) {
+    auto text = db::wal::ReadFileBytes(arguments.positional[0]);
+    if (!text.ok()) return Fail(text.status());
+    auto parsed = core::ParseCampaignText(*text);
+    if (!parsed.ok()) return Fail(parsed.status());
+    config = std::move(*parsed);
+  }
   auto opened = core::OpenOrCreate(arguments.db_dir);
   if (!opened.ok()) return Fail(opened.status());
   db::Database database = std::move(*opened);
 
-  std::string campaign_name;
-  std::size_t ini_jobs = 1;
-  if (resume) {
-    campaign_name = arguments.positional[0];
-  } else {
-    auto file = Config::LoadFile(arguments.positional[0]);
-    if (!file.ok()) return Fail(file.status());
-    const ConfigSection* section = file->FindSection("campaign");
-    if (section == nullptr) {
-      return Fail(InvalidArgumentError("no [campaign] section"));
-    }
-    auto config = core::ParseCampaignConfig(*section);
-    if (!config.ok()) return Fail(config.status());
-    campaign_name = config->name;
-    ini_jobs = config->jobs;
+  const std::string campaign_name =
+      resume ? arguments.positional[0] : config->name;
+  const std::size_t ini_jobs = resume ? 1 : config->jobs;
+  if (config) {
     if (auto stored = core::StoreCampaignOnce(database, *config);
         !stored.ok()) {
       return Fail(stored.status());

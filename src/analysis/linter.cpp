@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -12,11 +11,8 @@
 #include "analysis/dataflow.h"
 #include "analysis/static_liveness.h"
 #include "sim/assembler.h"
-#include "target/cache_target.h"
 #include "target/environment.h"
 #include "target/io_map.h"
-#include "target/target_types.h"
-#include "target/workloads.h"
 #include "util/config.h"
 #include "util/strings.h"
 
@@ -25,6 +21,8 @@ namespace {
 
 using sim::Opcode;
 using Severity = LintDiagnostic::Severity;
+
+}  // namespace
 
 // The assembler prefixes its diagnostics with "line %d: "; pull the
 // number out so the linter can re-anchor them to file:line.
@@ -47,12 +45,11 @@ int ExtractLineNumber(std::string* message) {
   return line;
 }
 
-// First 1-based line whose (trimmed) content assigns `key`, for ini
-// diagnostics; 0 when not found.
-int LineOfKey(const std::string& text, const std::string& key) {
+int LineOfKey(const std::string& text, const std::string& key, bool last) {
   std::istringstream stream(text);
   std::string line;
   int number = 0;
+  int found = 0;
   while (std::getline(stream, line)) {
     ++number;
     std::size_t start = line.find_first_not_of(" \t");
@@ -66,10 +63,15 @@ int LineOfKey(const std::string& text, const std::string& key) {
     while (after < line.size() && (line[after] == ' ' || line[after] == '\t')) {
       ++after;
     }
-    if (after < line.size() && line[after] == '=') return number;
+    if (after < line.size() && line[after] == '=') {
+      found = number;
+      if (!last) break;
+    }
   }
-  return 0;
+  return found;
 }
+
+namespace {
 
 void Add(std::vector<LintDiagnostic>* out, Severity severity,
          const std::string& file, int line, const std::string& check,
@@ -349,387 +351,6 @@ std::vector<LintDiagnostic> LintWorkloadSpecFile(const std::string& file) {
       LintWorkloadSource(assembly_path, assembly_buffer.str());
   out.insert(out.end(), assembly_diagnostics.begin(),
              assembly_diagnostics.end());
-  return out;
-}
-
-namespace {
-
-// The [service] section of a goofi_serve deployment ini. Keys mirror
-// service::ServiceConfig; the cross-field rules mirror what
-// ServiceCore::Start rejects, so lint-clean means the daemon boots.
-void LintServiceSection(const std::string& file, const std::string& text,
-                        const ConfigSection& section,
-                        std::vector<LintDiagnostic>* out) {
-  static const std::set<std::string> kKnownKeys = {
-      "root", "socket", "fleet_workers", "queue_limit",
-      "max_campaign_jobs"};
-  for (const auto& [key, value] : section.entries()) {
-    (void)value;
-    if (kKnownKeys.count(key) == 0) {
-      Add(out, Severity::kWarning, file, LineOfKey(text, key),
-          "unknown-key", "unknown [service] key '" + key + "'");
-    }
-  }
-  const auto fleet = section.GetIntOr("fleet_workers", 4);
-  if (fleet < 1) {
-    Add(out, Severity::kError, file, LineOfKey(text, "fleet_workers"),
-        "bad-value", "fleet_workers must be >= 1");
-  }
-  if (section.GetIntOr("queue_limit", 16) < 1) {
-    Add(out, Severity::kError, file, LineOfKey(text, "queue_limit"),
-        "bad-value",
-        "queue_limit must be >= 1 (the daemon needs at least one "
-        "submission slot)");
-  }
-  const auto max_jobs = section.GetIntOr("max_campaign_jobs", 0);
-  if (section.Has("max_campaign_jobs") && max_jobs < 1) {
-    Add(out, Severity::kError, file, LineOfKey(text, "max_campaign_jobs"),
-        "bad-value", "max_campaign_jobs must be >= 1");
-  }
-  if (max_jobs > fleet && fleet >= 1) {
-    Add(out, Severity::kError, file, LineOfKey(text, "max_campaign_jobs"),
-        "jobs-exceed-fleet",
-        StrFormat("max_campaign_jobs (%lld) exceeds fleet_workers (%lld): "
-                  "no campaign can ever be allocated that many workers",
-                  static_cast<long long>(max_jobs),
-                  static_cast<long long>(fleet)));
-  }
-}
-
-}  // namespace
-
-std::vector<LintDiagnostic> LintCampaignText(
-    const std::string& file, const std::string& text,
-    const std::vector<target::TargetSystemInterface::LocationInfo>*
-        locations) {
-  std::vector<LintDiagnostic> out;
-  const auto parsed = Config::Parse(text);
-  if (!parsed.ok()) {
-    std::string message = parsed.status().message();
-    const int line = ExtractLineNumber(&message);
-    Add(&out, Severity::kError, file, line, "ini-error", message);
-    return out;
-  }
-  const ConfigSection* service = parsed->FindSection("service");
-  if (service != nullptr) {
-    LintServiceSection(file, text, *service, &out);
-  }
-  const ConfigSection* section = parsed->FindSection("campaign");
-  if (section == nullptr) {
-    // A pure [service] deployment ini is a complete file on its own.
-    if (service == nullptr) {
-      Add(&out, Severity::kError, file, 0, "missing-section",
-          "no [campaign] section");
-    }
-    return out;
-  }
-
-  static const std::set<std::string> kKnownKeys = {
-      "name",          "target",         "technique",
-      "workload",      "experiments",    "seed",
-      "fault_model",   "multiplicity",   "location",
-      "time_window_lo", "time_window_hi", "trigger",
-      "max_instructions", "max_iterations", "logging",
-      "preinjection",  "static_analysis", "intermittent_period",
-      "intermittent_occurrences", "stuck_to_one", "jobs",
-      "experiment_timeout_ms", "max_retries", "retry_backoff_ms",
-      "checkpoint_mode", "checkpoint_stride"};
-  for (const auto& [key, value] : section->entries()) {
-    (void)value;
-    if (kKnownKeys.count(key) == 0) {
-      Add(&out, Severity::kWarning, file, LineOfKey(text, key),
-          "unknown-key", "unknown [campaign] key '" + key + "'");
-    }
-  }
-
-  if (section->GetStringOr("name", "").empty()) {
-    Add(&out, Severity::kError, file, 0, "missing-key",
-        "campaign needs a name");
-  }
-
-  target::Technique technique = target::Technique::kScifi;
-  if (const auto value = section->GetString("technique")) {
-    const auto known = target::TechniqueFromName(*value);
-    if (!known) {
-      Add(&out, Severity::kError, file, LineOfKey(text, "technique"),
-          "unknown-value", "unknown technique '" + *value + "'");
-    } else {
-      technique = *known;
-    }
-  }
-
-  target::FaultModel::Kind model = target::FaultModel::Kind::kTransientBitFlip;
-  std::optional<target::CacheFaultModel> cache_model;
-  if (const auto value = section->GetString("fault_model")) {
-    const auto known = target::FaultModelKindFromName(*value);
-    const auto cache = target::CacheFaultModelFromName(*value);
-    if (known) {
-      model = *known;
-    } else if (cache) {
-      // Access-path models (target/cache_target.h): temporally a
-      // transient flip; the name narrows the location family.
-      cache_model = *cache;
-    } else {
-      Add(&out, Severity::kError, file, LineOfKey(text, "fault_model"),
-          "unknown-value", "unknown fault model '" + *value + "'");
-    }
-  }
-
-  const std::string logging = section->GetStringOr("logging", "normal");
-  if (!EqualsIgnoreCase(logging, "normal") &&
-      !EqualsIgnoreCase(logging, "detail")) {
-    Add(&out, Severity::kError, file, LineOfKey(text, "logging"),
-        "unknown-value", "unknown logging mode '" + logging + "'");
-  }
-
-  static const std::set<std::string> kTriggerKinds = {
-      "instret", "rtc", "branch", "call", "pc", "data_read", "data_write"};
-  const std::string trigger = section->GetStringOr("trigger", "instret");
-  if (kTriggerKinds.count(trigger) == 0) {
-    Add(&out, Severity::kError, file, LineOfKey(text, "trigger"),
-        "unknown-value", "unknown trigger kind '" + trigger + "'");
-  }
-
-  const std::string workload = section->GetStringOr("workload", "");
-  if (workload.empty()) {
-    Add(&out, Severity::kError, file, 0, "missing-key",
-        "campaign needs a workload");
-  } else if (!target::GetBuiltinWorkload(workload).ok()) {
-    Add(&out, Severity::kError, file, LineOfKey(text, "workload"),
-        "unknown-workload",
-        "unknown workload '" + workload + "' (the campaign runner "
-        "resolves workloads by built-in name: " +
-            JoinStrings(target::BuiltinWorkloadNames(), ", ") + ")");
-  }
-
-  if (section->GetIntOr("multiplicity", 1) <= 0) {
-    Add(&out, Severity::kError, file, LineOfKey(text, "multiplicity"),
-        "bad-value", "multiplicity must be >= 1");
-  }
-  if (section->Has("experiments") &&
-      section->GetIntOr("experiments", 1) <= 0) {
-    Add(&out, Severity::kWarning, file, LineOfKey(text, "experiments"),
-        "bad-value", "campaign runs no experiments");
-  }
-  const auto window_lo = section->GetIntOr("time_window_lo", 0);
-  const auto window_hi = section->GetIntOr("time_window_hi", 0);
-  if (window_hi != 0 && window_lo > window_hi) {
-    Add(&out, Severity::kError, file, LineOfKey(text, "time_window_lo"),
-        "bad-value", "empty injection time window (lo > hi)");
-  }
-
-  if (model != target::FaultModel::Kind::kIntermittentBitFlip) {
-    for (const char* key : {"intermittent_period",
-                            "intermittent_occurrences"}) {
-      if (section->Has(key)) {
-        Add(&out, Severity::kWarning, file, LineOfKey(text, key),
-            "ignored-key",
-            StrFormat("'%s' only applies to fault_model = intermittent",
-                      key));
-      }
-    }
-  }
-  if (model != target::FaultModel::Kind::kPermanentStuckAt &&
-      section->Has("stuck_to_one")) {
-    Add(&out, Severity::kWarning, file, LineOfKey(text, "stuck_to_one"),
-        "ignored-key",
-        "'stuck_to_one' only applies to fault_model = permanent");
-  }
-  if (technique == target::Technique::kSwifiPreRuntime &&
-      section->Has("trigger")) {
-    Add(&out, Severity::kWarning, file, LineOfKey(text, "trigger"),
-        "ignored-key",
-        "pre-runtime SWIFI has no trigger phase; 'trigger' is ignored");
-  }
-  // Supervision keys (core/supervision.h). Retries without a watchdog
-  // deadline means a *wedged* (as opposed to cleanly failing) target
-  // blocks the campaign forever on the very attempt a retry budget is
-  // meant to survive — almost always a config mistake.
-  if (section->GetIntOr("max_retries", 0) > 0 &&
-      !section->Has("experiment_timeout_ms")) {
-    Add(&out, Severity::kWarning, file, LineOfKey(text, "max_retries"),
-        "retry-without-timeout",
-        "'max_retries' without 'experiment_timeout_ms': a hung (not "
-        "failing) experiment attempt is only detected by the watchdog "
-        "deadline; set experiment_timeout_ms (or rely on the derived "
-        "default only if the workload's instruction budget is set)");
-  }
-  if (section->Has("retry_backoff_ms") &&
-      section->GetIntOr("max_retries", 0) == 0) {
-    Add(&out, Severity::kWarning, file, LineOfKey(text, "retry_backoff_ms"),
-        "ignored-key",
-        "'retry_backoff_ms' only applies when max_retries > 0");
-  }
-  // Checkpoint-fork keys (core/checkpoint.h). Mirrors the supervision
-  // checks: a stride without the mode is dead configuration, and a
-  // stride past the workload's tool-level instruction budget records no
-  // checkpoint beyond the boot snapshot, silently degrading every fork
-  // to replay-from-reset.
-  if (section->Has("checkpoint_stride") &&
-      !section->GetBoolOr("checkpoint_mode", false)) {
-    Add(&out, Severity::kWarning, file, LineOfKey(text, "checkpoint_stride"),
-        "ignored-key",
-        "'checkpoint_stride' only applies when checkpoint_mode = true");
-  }
-  if (section->GetBoolOr("checkpoint_mode", false)) {
-    std::uint64_t budget =
-        static_cast<std::uint64_t>(section->GetIntOr("max_instructions", 0));
-    if (budget == 0 && !workload.empty()) {
-      const auto builtin = target::GetBuiltinWorkload(workload);
-      if (builtin.ok()) budget = builtin->termination.max_instructions;
-    }
-    const auto stride =
-        static_cast<std::uint64_t>(section->GetIntOr("checkpoint_stride", 0));
-    if (budget != 0 && stride > budget) {
-      Add(&out, Severity::kWarning, file,
-          LineOfKey(text, "checkpoint_stride"), "stride-past-budget",
-          StrFormat("checkpoint_stride (%llu) exceeds the workload's "
-                    "tool-level instruction budget (%llu): only the boot "
-                    "snapshot is recorded and forking saves nothing",
-                    static_cast<unsigned long long>(stride),
-                    static_cast<unsigned long long>(budget)));
-    }
-    if (trigger != "instret") {
-      Add(&out, Severity::kWarning, file, LineOfKey(text, "checkpoint_mode"),
-          "ignored-key",
-          "checkpoint-fork execution requires trigger = instret; the "
-          "campaign falls back to replaying every experiment from reset");
-    }
-    if (EqualsIgnoreCase(logging, "detail")) {
-      Add(&out, Severity::kWarning, file, LineOfKey(text, "checkpoint_mode"),
-          "ignored-key",
-          "checkpoint-fork execution requires logging = normal (detail "
-          "mode traces the whole run); the campaign falls back to "
-          "replaying every experiment from reset");
-    }
-  }
-  // `static_analysis` is a tri-state: boolean (liveness pruning) or the
-  // string "equivalence" (def-use class partitioning, core/runner.cpp).
-  // Anything else silently parses as `false`, so flag it here.
-  const std::string static_mode =
-      AsciiToLower(section->GetStringOr("static_analysis", "false"));
-  const bool equivalence_mode = static_mode == "equivalence";
-  if (!equivalence_mode && section->Has("static_analysis") &&
-      !section->GetBool("static_analysis").ok()) {
-    Add(&out, Severity::kError, file, LineOfKey(text, "static_analysis"),
-        "unknown-value",
-        "static_analysis must be a boolean or 'equivalence', got '" +
-            section->GetStringOr("static_analysis", "") + "'");
-  }
-  if (technique == target::Technique::kSwifiPreRuntime &&
-      (equivalence_mode ||
-       section->GetBoolOr("static_analysis", false))) {
-    Add(&out, Severity::kWarning, file, LineOfKey(text, "static_analysis"),
-        "ignored-key",
-        "static analysis prunes register scan elements only; pre-runtime "
-        "SWIFI cannot inject into them anyway");
-  }
-  // The equivalence partitioner's homogeneity argument only holds for a
-  // single transient flip delivered at an instret trigger; the runner
-  // rejects every other combination at PrepareCampaignRun time.
-  if (equivalence_mode) {
-    if (trigger != "instret") {
-      Add(&out, Severity::kError, file, LineOfKey(text, "trigger"),
-          "equivalence-needs-instret",
-          "static_analysis = equivalence partitions the instruction-time "
-          "axis; it requires trigger = instret");
-    }
-    if (model != target::FaultModel::Kind::kTransientBitFlip) {
-      Add(&out, Severity::kError, file, LineOfKey(text, "fault_model"),
-          "equivalence-needs-transient",
-          "static_analysis = equivalence assumes a single transient flip "
-          "whose corrupted value is read exactly once; use fault_model = "
-          "transient");
-    }
-    if (section->GetIntOr("multiplicity", 1) > 1) {
-      Add(&out, Severity::kError, file, LineOfKey(text, "multiplicity"),
-          "equivalence-needs-single-fault",
-          "static_analysis = equivalence requires multiplicity = 1 "
-          "(classes are per-location def-use intervals)");
-    }
-    if (technique == target::Technique::kSwifiPreRuntime) {
-      Add(&out, Severity::kError, file, LineOfKey(text, "technique"),
-          "equivalence-needs-trigger-phase",
-          "pre-runtime SWIFI has no injection-time axis to partition; "
-          "use technique = scifi (or drop static_analysis = equivalence)");
-    }
-    if (EqualsIgnoreCase(logging, "detail")) {
-      Add(&out, Severity::kError, file, LineOfKey(text, "logging"),
-          "equivalence-needs-normal-logging",
-          "detail logging traces every experiment individually; class "
-          "representatives must be logged in normal mode");
-    }
-  }
-
-  if (locations != nullptr) {
-    // The extent of the advertised cache-coordinate family, for the
-    // out-of-range diagnosis below (coordinates count from set0/word0,
-    // so the largest advertised index bounds the geometry).
-    bool has_cache_coordinates = false;
-    std::uint32_t max_set = 0;
-    std::uint32_t max_word = 0;
-    for (const auto& info : *locations) {
-      if (const auto coordinate = target::ParseCacheCoordinate(info.name)) {
-        has_cache_coordinates = true;
-        max_set = std::max(max_set, coordinate->set);
-        max_word = std::max(max_word, coordinate->word);
-      }
-    }
-    // A cache fault model only injects into its coordinate family; a
-    // target that advertises no cache coordinates (anything but
-    // cache_hierarchy) gives the campaign an empty fault space.
-    if (cache_model.has_value()) {
-      const char* family_glob =
-          target::CacheFaultModelLocationGlob(*cache_model);
-      bool family_reachable = false;
-      for (const auto& info : *locations) {
-        if (target::TechniqueCanReach(technique, info) &&
-            GlobMatch(family_glob, info.name)) {
-          family_reachable = true;
-          break;
-        }
-      }
-      if (!family_reachable) {
-        Add(&out, Severity::kError, file, LineOfKey(text, "fault_model"),
-            "cache-model-without-geometry",
-            StrFormat("fault model '%s' needs '%s' cache coordinates "
-                      "technique '%s' can reach, and the campaign's target "
-                      "advertises none (set target = cache_hierarchy and "
-                      "technique = scifi)",
-                      target::CacheFaultModelName(*cache_model), family_glob,
-                      target::TechniqueName(technique)));
-      }
-    }
-    for (const std::string& filter : section->GetList("location")) {
-      bool matched = false;
-      for (const auto& info : *locations) {
-        if (target::TechniqueCanReach(technique, info) &&
-            GlobMatch(filter, info.name)) {
-          matched = true;
-          break;
-        }
-      }
-      if (matched) continue;
-      // A concrete cache coordinate that misses every advertised
-      // location on a target that does have the family is not a glob
-      // typo — it indexes past the real geometry.
-      const auto coordinate = target::ParseCacheCoordinate(filter);
-      if (coordinate.has_value() && has_cache_coordinates) {
-        Add(&out, Severity::kError, file, LineOfKey(text, "location"),
-            "coordinate-out-of-range",
-            StrFormat("cache coordinate '%s' is outside the target's "
-                      "geometry (largest advertised set is set%u, largest "
-                      "word is word%u)",
-                      filter.c_str(), max_set, max_word));
-        continue;
-      }
-      Add(&out, Severity::kError, file, LineOfKey(text, "location"),
-          "filter-matches-nothing",
-          "location filter '" + filter + "' selects nothing technique '" +
-              std::string(target::TechniqueName(technique)) +
-              "' can inject into");
-    }
-  }
   return out;
 }
 

@@ -1,18 +1,17 @@
-// goofi-lint: static checks for workload assembly, .workload specs and
-// campaign definition files, with file:line diagnostics suitable for CI
-// (examples/goofi_lint.cpp is the command-line front-end).
+// goofi-lint: static checks for workload assembly and .workload specs,
+// with file:line diagnostics suitable for CI (examples/goofi_lint.cpp
+// is the command-line front-end). The campaign and deployment ini
+// checks live in core/campaign.h, next to the campaign key table
+// they walk, and report through the same LintDiagnostic.
 //
-// The linter reuses the analysis subsystem's CFG/dataflow results for
-// the code-level checks and the target layer's reachability rules
-// (target::TechniqueCanReach) for the campaign-level ones, so a lint
-// clean bill of health means "the campaign machinery will accept this
-// and every reachable instruction is accounted for".
+// The code-level checks reuse the analysis subsystem's CFG/dataflow
+// results, so a lint clean bill of health means "every reachable
+// instruction is accounted for".
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "target/fault_injection_algorithms.h"
 #include "util/status.h"
 
 namespace goofi::analysis {
@@ -47,6 +46,16 @@ std::vector<LintDiagnostic> DeduplicateDiagnostics(
 
 bool HasErrors(const std::vector<LintDiagnostic>& diagnostics);
 
+// ---- ini helpers ------------------------------------------------------
+// The 1-based line of a "line %d: message" diagnostic (the assembler's
+// and the ini parser's form), stripping the prefix; 0 when absent.
+int ExtractLineNumber(std::string* message);
+// First (with `last`, last) 1-based line whose (trimmed) content
+// assigns `key` (or `key[]`); 0 when not found. A scalar key's value is
+// its last assignment's.
+int LineOfKey(const std::string& text, const std::string& key,
+              bool last = false);
+
 // ---- GOOFI-32 assembly sources ----------------------------------------
 // Checks: assembly/label errors (the assembler's own diagnostics,
 // re-anchored to file:line), entry decodability, unreachable code,
@@ -61,22 +70,5 @@ std::vector<LintDiagnostic> LintWorkloadSource(const std::string& file,
 // unknown environment model) plus LintWorkloadSource over the assembly
 // file it references. `file` must be a readable path.
 std::vector<LintDiagnostic> LintWorkloadSpecFile(const std::string& file);
-
-// ---- campaign definition files ----------------------------------------
-// Checks the [campaign] section: required keys, unknown
-// technique/fault-model/logging/trigger values, unknown workload names,
-// option combinations the machinery ignores or rejects, and — when
-// `locations` is non-null — location filters that select nothing the
-// technique can inject into.
-//
-// Files carrying a [service] section (goofi_serve deployment inis) get
-// the daemon's boot-time rules too: fleet_workers/queue_limit >= 1,
-// max_campaign_jobs within the fleet, unknown-key warnings. A file with
-// only a [service] section is a complete deployment ini and does not
-// need a [campaign] section.
-std::vector<LintDiagnostic> LintCampaignText(
-    const std::string& file, const std::string& text,
-    const std::vector<target::TargetSystemInterface::LocationInfo>*
-        locations);
 
 }  // namespace goofi::analysis

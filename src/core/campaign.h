@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/linter.h"
 #include "db/database.h"
 #include "target/fault_injection_algorithms.h"
 #include "target/target_types.h"
@@ -20,6 +21,40 @@
 
 namespace goofi::core {
 
+// How a runtime experiment's injection point is chosen (`trigger` key).
+enum class TriggerKind {
+  kInstret,    // the sampled instruction count (default)
+  kPc,         // a sampled code address is fetched
+  kDataRead,   // a sampled data address is loaded
+  kDataWrite,  // a sampled data address is stored
+  kBranch,     // the n-th taken branch
+  kCall,       // the n-th call
+  kRtc,        // a real-time-clock deadline
+};
+const char* TriggerKindName(TriggerKind kind);
+
+// The `static_analysis` key, stored as 0/1/2 in CampaignData.
+enum class StaticAnalysis {
+  // No pre-run analysis.
+  kOff,
+  // Before any run, drop fault locations the workload provably never
+  // reads (registers dead on every static path; src/analysis).
+  // Strictly coarser than the dynamic `preinjection` filter; the two
+  // compose.
+  kLiveness,
+  // Beyond pruning, partition the fault space into def-use equivalence
+  // classes (analysis/equivalence) and physically inject only one
+  // representative per class; every other member is logged as a stub
+  // row pointing at its representative. Forces the reference-run
+  // access trace to be recorded. The analysis stage extrapolates class
+  // outcomes to the full space by class weight.
+  kEquivalence,
+};
+
+// One campaign's settings. Every field that a [campaign] key or a
+// CampaignData column carries is declared once, with its ini key, its
+// column, its type and its validator, in campaign.cpp's key table; the
+// defaults are the initializers below. README.md lists the keys.
 struct CampaignConfig {
   std::string name;
   std::string target = "thor_rd";
@@ -47,9 +82,7 @@ struct CampaignConfig {
   // reference-run duration.
   std::uint64_t time_window_lo = 0;
   std::uint64_t time_window_hi = 0;
-  // Trigger kind: "instret" (default), "pc", "data_read", "data_write",
-  // "branch", "call", "rtc".
-  std::string trigger_kind = "instret";
+  TriggerKind trigger_kind = TriggerKind::kInstret;
 
   // Termination overrides (0 = the workload's defaults).
   target::TerminationSpec termination{0, 0};
@@ -60,20 +93,7 @@ struct CampaignConfig {
   // live data, using the reference run's access trace.
   bool use_preinjection_analysis = false;
 
-  // Static counterpart (src/analysis): before any run, drop fault
-  // locations the workload provably never reads (registers that are
-  // dead on every static path). Strictly coarser than the dynamic
-  // analysis above — the two compose.
-  bool use_static_analysis = false;
-
-  // `static_analysis = equivalence`: beyond pruning, partition the
-  // fault space into def-use equivalence classes (analysis/equivalence)
-  // and physically inject only one representative per class; every
-  // other member is logged as a stub row pointing at its
-  // representative. Implies use_static_analysis (and forces the
-  // reference-run access trace to be recorded). The analysis stage
-  // extrapolates class outcomes to the full space by class weight.
-  bool use_equivalence = false;
+  StaticAnalysis static_analysis = StaticAnalysis::kOff;
 
   // How many workers execute the campaign (`jobs` key; 1 = inline on
   // the calling thread). An execution knob, not part of the campaign's
@@ -105,6 +125,18 @@ struct CampaignConfig {
   // Instructions between recorded checkpoints. 0 = a tenth of the
   // workload's tool-level instruction budget.
   std::uint64_t checkpoint_stride = 0;
+
+  friend bool operator==(const CampaignConfig&,
+                         const CampaignConfig&) = default;
+};
+
+// One problem with an ini section, anchored to the key whose line
+// shows it. The parser returns the first as an error; goofi-lint
+// reports every one under its check id.
+struct KeyProblem {
+  std::string key;    // the ini key; empty for the section as a whole
+  const char* check;  // goofi-lint check id, e.g. "bad-value"
+  std::string message;
 };
 
 // ---- config file <-> struct ------------------------------------------
@@ -120,15 +152,77 @@ struct CampaignConfig {
 //   multiplicity = 1
 //   location[] = cpu.regs.*
 //   logging = normal
+// README.md lists every key with its type, default and column. A key
+// that is present but does not parse, or does not fit its field (a
+// negative count, an unknown name), is an InvalidArgument naming the
+// key; unknown keys are ignored here and warned about by goofi-lint.
 Result<CampaignConfig> ParseCampaignConfig(const ConfigSection& section);
-Result<CampaignConfig> LoadCampaignConfigFile(const std::string& path);
+// The ini text's [campaign] section, parsed. The one entry point for
+// campaign files and submissions.
+Result<CampaignConfig> ParseCampaignText(const std::string& text);
+
+// Every problem ParseCampaignConfig rejects, in key-table order:
+// missing-key, unknown-value and bad-value problems. `config` receives
+// every key that did parse.
+std::vector<KeyProblem> CheckCampaignSection(const ConfigSection& section,
+                                             CampaignConfig* config);
+// The [campaign] keys, in CampaignData column order.
+std::vector<std::string> CampaignIniKeys();
+
+// Settings the runner rejects (FailedPrecondition, first problem) when
+// static_analysis = equivalence: the outcome-homogeneity argument
+// (analysis/equivalence.h) needs one transient flip at an instret
+// trigger, injected at runtime and logged in normal mode.
+std::vector<KeyProblem> EquivalenceViolations(const CampaignConfig& config);
+// Settings that make checkpoint-fork execution fall back to replaying
+// every experiment from reset (forking is only bit-exact for instret
+// triggers, normal logging and runtime injection).
+std::vector<KeyProblem> CheckpointForkBlockers(const CampaignConfig& config);
+
+// ---- goofi-lint (campaign_lint.cpp) ------------------------------------
+// Lints a campaign or goofi_serve deployment ini. The [campaign] checks
+// walk the key table, so every missing-key, unknown-value and bad-value
+// error is a value ParseCampaignText rejects, and every rejection is a
+// lint error (at the line whose value counts, in line order). Besides:
+// unknown keys (warnings), unknown workload names, the equivalence
+// rules, settings the machinery ignores, and, when `locations` is
+// non-null, location filters that select nothing the technique can
+// inject into (LocationSpace::Build's rule). A [service] section gets
+// the daemon's boot rules: ServiceCount's, max_campaign_jobs within the
+// fleet, unknown-key warnings; a file with only a [service] section is
+// complete without a [campaign] one.
+std::vector<analysis::LintDiagnostic> LintCampaignText(
+    const std::string& file, const std::string& text,
+    const std::vector<target::TargetSystemInterface::LocationInfo>*
+        locations);
+// A [service] count (fleet_workers, queue_limit, max_campaign_jobs):
+// `fallback` when absent, else an integer >= 1, or InvalidArgument
+// naming the key. goofi_serve boots through it.
+Result<std::size_t> ServiceCount(const ConfigSection& section,
+                                 const std::string& key,
+                                 std::size_t fallback);
 
 // ---- database round trip -----------------------------------------------
+// The CampaignData CREATE TABLE statement, generated from the key table.
+std::string CampaignDataTableSql();
 // Insert (or error on duplicate) the campaign into CampaignData with
 // status 'configured'. The target must already be registered.
 Status StoreCampaign(db::Database& database, const CampaignConfig& config);
-Result<CampaignConfig> LoadCampaign(db::Database& database,
+// Cells are found by column name. An absent or NULL optional column
+// loads as the key's default; an absent NOT NULL column or a cell of
+// the wrong type is DataLoss.
+Result<CampaignConfig> LoadCampaign(const db::Database& database,
                                     const std::string& campaign_name);
+
+// The campaign's run status ("configured", "running", "completed");
+// NotFound when no such campaign is stored.
+Result<std::string> LoadCampaignRunStatus(const db::Database& database,
+                                          const std::string& campaign_name);
+// Rewrite the campaign's status/experiments_done columns.
+Status UpdateCampaignRunStatus(db::Database& database,
+                               const std::string& campaign_name,
+                               const std::string& status,
+                               std::size_t experiments_done);
 
 // Merge several stored campaigns into a new one (paper §3.2: "merge
 // campaign data from several fault injection campaigns into a new fault

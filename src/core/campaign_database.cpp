@@ -25,12 +25,10 @@ Result<db::Database> OpenOrCreate(const std::string& dir) {
 
 Result<bool> StoreCampaignOnce(db::Database& database,
                                const CampaignConfig& config) {
-  const db::Table* campaigns = database.FindTable(kCampaignDataTable);
-  if (campaigns != nullptr &&
-      campaigns->FindByUnique(0, db::Value::Text_(config.name))
-          .has_value()) {
-    return true;
-  }
+  const Result<std::string> stored =
+      LoadCampaignRunStatus(database, config.name);
+  if (stored.ok()) return true;
+  if (stored.status().code() != ErrorCode::kNotFound) return stored.status();
   ASSIGN_OR_RETURN(auto target,
                    TargetRegistry::Instance().Create(config.target));
   RETURN_IF_ERROR(

@@ -1,11 +1,16 @@
 #include "core/goofi_schema.h"
 
+#include <string>
+
+#include "core/campaign.h"
 #include "db/sql/executor.h"
 
 namespace goofi::core {
 
 const char* GoofiSchemaSql() {
-  return R"sql(
+  // CampaignData's columns come from the campaign key table
+  // (core/campaign.cpp).
+  static const std::string* const sql = new std::string(R"sql(
 CREATE TABLE TargetSystemData (
   target_name    TEXT PRIMARY KEY,
   test_card_name TEXT NOT NULL,
@@ -26,38 +31,7 @@ CREATE TABLE TargetLocation (
   FOREIGN KEY (target_name) REFERENCES TargetSystemData(target_name)
 );
 
-CREATE TABLE CampaignData (
-  campaign_name            TEXT PRIMARY KEY,
-  target_name              TEXT NOT NULL,
-  technique                TEXT NOT NULL,
-  workload                 TEXT NOT NULL,
-  num_experiments          INTEGER NOT NULL,
-  seed                     INTEGER NOT NULL,
-  fault_model              TEXT NOT NULL,
-  multiplicity             INTEGER NOT NULL,
-  location_filter          TEXT,
-  time_window_lo           INTEGER,
-  time_window_hi           INTEGER,
-  trigger_kind             TEXT,
-  max_instructions         INTEGER,
-  max_iterations           INTEGER,
-  logging_mode             TEXT NOT NULL,
-  preinjection             INTEGER NOT NULL,
-  static_analysis          INTEGER,
-  intermittent_period      INTEGER,
-  intermittent_occurrences INTEGER,
-  stuck_to_one             INTEGER,
-  status                   TEXT NOT NULL,
-  experiments_done         INTEGER NOT NULL,
-  experiment_timeout_ms    INTEGER,
-  max_retries              INTEGER,
-  retry_backoff_ms         INTEGER,
-  checkpoint_mode          INTEGER,
-  checkpoint_stride        INTEGER,
-  cache_fault_model        TEXT,
-  FOREIGN KEY (target_name) REFERENCES TargetSystemData(target_name)
-);
-
+)sql" + CampaignDataTableSql() + R"sql(
 CREATE TABLE LoggedSystemState (
   experiment_name   TEXT PRIMARY KEY,
   parent_experiment TEXT INDEXED,
@@ -72,7 +46,8 @@ CREATE TABLE LoggedSystemState (
   FOREIGN KEY (campaign_name) REFERENCES CampaignData(campaign_name),
   FOREIGN KEY (parent_experiment) REFERENCES LoggedSystemState(experiment_name)
 );
-)sql";
+)sql");
+  return sql->c_str();
 }
 
 Status CreateGoofiSchema(db::Database& database) {

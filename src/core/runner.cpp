@@ -79,33 +79,6 @@ Status LogExperimentObservation(db::Database& database,
   return database.Insert(kLoggedSystemStateTable, std::move(row));
 }
 
-Status UpdateCampaignRunStatus(db::Database& database,
-                               const std::string& campaign_name,
-                               const std::string& status,
-                               std::size_t experiments_done) {
-  // Elide a no-op rewrite: Update() logs a WAL record for any matched
-  // row even when the stored values already equal the new ones, and
-  // that extra record would make a resumed run's database differ from
-  // an uninterrupted run's byte-for-byte.
-  if (const db::Table* table = database.FindTable(kCampaignDataTable)) {
-    for (const Row& row : table->rows()) {
-      if (row[0].AsText() != campaign_name) continue;
-      if (row[20].AsText() == status &&
-          row[21].AsInteger() ==
-              static_cast<std::int64_t>(experiments_done)) {
-        return Status::Ok();
-      }
-      break;
-    }
-  }
-  const auto result = database.Update(
-      kCampaignDataTable,
-      [&](const Row& row) { return row[0].AsText() == campaign_name; },
-      {{20, Value::Text_(status)},
-       {21, Value::Integer(static_cast<std::int64_t>(experiments_done))}});
-  return result.ok() ? Status::Ok() : result.status();
-}
-
 std::string ExperimentName(const std::string& campaign_name,
                            std::size_t index) {
   return StrFormat("%s/exp%05zu", campaign_name.c_str(), index);
@@ -139,50 +112,55 @@ Result<target::ExperimentSpec> SampleExperimentSpec(
     // Trigger construction per the campaign's trigger kind.
     sim::Breakpoint trigger;
     trigger.one_shot = true;
-    if (config.trigger_kind == "instret") {
-      trigger.kind = sim::Breakpoint::Kind::kInstretReached;
-      trigger.count = time;
-    } else if (config.trigger_kind == "rtc") {
-      trigger.kind = sim::Breakpoint::Kind::kRtcMicros;
-      trigger.micros = std::max<std::uint64_t>(1, time / 25);
-    } else if (config.trigger_kind == "branch") {
-      trigger.kind = sim::Breakpoint::Kind::kBranchTaken;
-      trigger.count =
-          1 + rng.NextBelow(std::max<std::uint64_t>(
-                  1, std::min<std::uint64_t>(plan.window_hi / 4, 256)));
-    } else if (config.trigger_kind == "call") {
-      trigger.kind = sim::Breakpoint::Kind::kCall;
-      trigger.count = 1 + rng.NextBelow(16);
-    } else if (config.trigger_kind == "pc" ||
-               config.trigger_kind == "data_read" ||
-               config.trigger_kind == "data_write") {
-      // Sample an address from the loaded image footprint.
-      std::vector<const LocationInfo*> ranges;
-      const bool want_code = config.trigger_kind == "pc";
-      for (const LocationInfo& info : plan.locations) {
-        if (info.kind != LocationInfo::Kind::kMemoryRange) continue;
-        const bool is_code = info.category == "memory_code";
-        if (is_code == want_code) ranges.push_back(&info);
+    switch (config.trigger_kind) {
+      case TriggerKind::kInstret:
+        trigger.kind = sim::Breakpoint::Kind::kInstretReached;
+        trigger.count = time;
+        break;
+      case TriggerKind::kRtc:
+        trigger.kind = sim::Breakpoint::Kind::kRtcMicros;
+        trigger.micros = std::max<std::uint64_t>(1, time / 25);
+        break;
+      case TriggerKind::kBranch:
+        trigger.kind = sim::Breakpoint::Kind::kBranchTaken;
+        trigger.count =
+            1 + rng.NextBelow(std::max<std::uint64_t>(
+                    1, std::min<std::uint64_t>(plan.window_hi / 4, 256)));
+        break;
+      case TriggerKind::kCall:
+        trigger.kind = sim::Breakpoint::Kind::kCall;
+        trigger.count = 1 + rng.NextBelow(16);
+        break;
+      case TriggerKind::kPc:
+      case TriggerKind::kDataRead:
+      case TriggerKind::kDataWrite: {
+        // Sample an address from the loaded image footprint.
+        std::vector<const LocationInfo*> ranges;
+        const bool want_code = config.trigger_kind == TriggerKind::kPc;
+        for (const LocationInfo& info : plan.locations) {
+          if (info.kind != LocationInfo::Kind::kMemoryRange) continue;
+          const bool is_code = info.category == "memory_code";
+          if (is_code == want_code) ranges.push_back(&info);
+        }
+        if (ranges.empty()) {
+          return FailedPreconditionError(
+              std::string("no address ranges for trigger kind '") +
+              TriggerKindName(config.trigger_kind) + "'");
+        }
+        const LocationInfo* range = ranges[rng.NextBelow(ranges.size())];
+        trigger.address =
+            range->base + static_cast<std::uint32_t>(
+                              rng.NextBelow(std::max<std::uint32_t>(
+                                  1, range->size / 4)) *
+                              4);
+        trigger.kind = config.trigger_kind == TriggerKind::kPc
+                           ? sim::Breakpoint::Kind::kPcEquals
+                       : config.trigger_kind == TriggerKind::kDataRead
+                           ? sim::Breakpoint::Kind::kDataRead
+                           : sim::Breakpoint::Kind::kDataWrite;
+        trigger.count = 1;
+        break;
       }
-      if (ranges.empty()) {
-        return FailedPreconditionError("no address ranges for trigger kind '" +
-                                       config.trigger_kind + "'");
-      }
-      const LocationInfo* range =
-          ranges[rng.NextBelow(ranges.size())];
-      trigger.address =
-          range->base +
-          static_cast<std::uint32_t>(
-              rng.NextBelow(std::max<std::uint32_t>(1, range->size / 4)) * 4);
-      trigger.kind = config.trigger_kind == "pc"
-                         ? sim::Breakpoint::Kind::kPcEquals
-                         : (config.trigger_kind == "data_read"
-                                ? sim::Breakpoint::Kind::kDataRead
-                                : sim::Breakpoint::Kind::kDataWrite);
-      trigger.count = 1;
-    } else {
-      return InvalidArgumentError("unknown trigger kind '" +
-                                  config.trigger_kind + "'");
     }
     spec.trigger = trigger;
 
@@ -232,13 +210,9 @@ Result<PreparedCampaign> PrepareCampaignRun(
   // a no-op. Any other stored status resets to "running" as usual.
   bool already_completed = false;
   if (resume) {
-    if (const db::Table* table = database.FindTable(kCampaignDataTable)) {
-      for (const Row& row : table->rows()) {
-        if (row[0].AsText() != campaign_name) continue;
-        already_completed = row[20].AsText() == "completed";
-        break;
-      }
-    }
+    ASSIGN_OR_RETURN(const std::string status,
+                     LoadCampaignRunStatus(database, campaign_name));
+    already_completed = status == "completed";
   }
   if (!already_completed) {
     RETURN_IF_ERROR(UpdateCampaignRunStatus(database, campaign_name,
@@ -248,34 +222,15 @@ Result<PreparedCampaign> PrepareCampaignRun(
   prepared.summary.campaign_name = campaign_name;
 
   // ---- equivalence-mode eligibility ------------------------------------
-  // The outcome-homogeneity argument (analysis/equivalence.h) only
-  // holds when every class member runs the identical experiment apart
-  // from the injection time: one transient flip, triggered by instret
-  // (any other trigger kind decouples the trigger from the interval's
-  // time base), injected at runtime, observed in normal logging. Unlike
-  // checkpoint mode this is an explicit analysis claim, so an
+  // Unlike checkpoint mode this is an explicit analysis claim, so an
   // ineligible campaign fails loudly instead of silently degrading.
-  if (prepared.config.use_equivalence) {
-    if (prepared.config.trigger_kind != "instret") {
-      return FailedPreconditionError(
-          "static_analysis = equivalence requires the instret trigger");
-    }
-    if (prepared.config.multiplicity != 1) {
-      return FailedPreconditionError(
-          "static_analysis = equivalence requires multiplicity 1");
-    }
-    if (prepared.config.model.kind !=
-        target::FaultModel::Kind::kTransientBitFlip) {
-      return FailedPreconditionError(
-          "static_analysis = equivalence requires the transient fault model");
-    }
-    if (prepared.config.logging_mode != target::LoggingMode::kNormal) {
-      return FailedPreconditionError(
-          "static_analysis = equivalence requires normal logging");
-    }
-    if (prepared.config.technique == target::Technique::kSwifiPreRuntime) {
-      return FailedPreconditionError(
-          "static_analysis = equivalence requires runtime injection");
+  const bool use_equivalence =
+      prepared.config.static_analysis == StaticAnalysis::kEquivalence;
+  if (use_equivalence) {
+    const std::vector<KeyProblem> violations =
+        EquivalenceViolations(prepared.config);
+    if (!violations.empty()) {
+      return FailedPreconditionError(violations.front().message);
     }
   }
 
@@ -283,7 +238,7 @@ Result<PreparedCampaign> PrepareCampaignRun(
   // Knows nothing the image doesn't say: registers no reachable
   // instruction ever reads are dropped from the location space below.
   std::optional<analysis::StaticLiveness> static_liveness;
-  if (prepared.config.use_static_analysis) {
+  if (prepared.config.static_analysis != StaticAnalysis::kOff) {
     ASSIGN_OR_RETURN(static_liveness, analysis::StaticLiveness::AnalyzeSource(
                                           workload.assembly));
   }
@@ -297,8 +252,7 @@ Result<PreparedCampaign> PrepareCampaignRun(
   reference_target->set_logging_mode(prepared.config.logging_mode);
 
   sim::AccessRecorder recorder;
-  if (prepared.config.use_preinjection_analysis ||
-      prepared.config.use_equivalence) {
+  if (prepared.config.use_preinjection_analysis || use_equivalence) {
     // Equivalence partitioning needs the golden run's access trace even
     // when the campaign does not enable the liveness filter itself.
     reference_target->set_external_tracer(&recorder);
@@ -306,18 +260,15 @@ Result<PreparedCampaign> PrepareCampaignRun(
 
   // ---- checkpoint-fork eligibility ------------------------------------
   // The golden run doubles as the checkpoint recording pass when the
-  // mode is on (campaign key or runner override) and the campaign
-  // qualifies: forking is only bit-exact for instret triggers (every
-  // other trigger kind depends on execution history a fork would skip),
-  // normal logging (detail mode traces the whole run) and runtime
-  // injection. Ineligible campaigns silently replay from reset — the
-  // logged database is identical by construction.
+  // mode is on (campaign key or runner override) and neither the
+  // campaign (CheckpointForkBlockers) nor the target rules forking out.
+  // Ineligible campaigns silently replay from reset — the logged
+  // database is identical by construction.
   const bool checkpoint_requested =
       checkpoint_override.value_or(prepared.config.checkpoint_mode);
   const bool checkpoint_eligible =
-      checkpoint_requested && prepared.config.trigger_kind == "instret" &&
-      prepared.config.logging_mode == target::LoggingMode::kNormal &&
-      prepared.config.technique != target::Technique::kSwifiPreRuntime &&
+      checkpoint_requested &&
+      CheckpointForkBlockers(prepared.config).empty() &&
       reference_target->SupportsCheckpointFork();
   std::vector<sim::Snapshot> recorded_checkpoints;
   if (checkpoint_eligible) {
@@ -357,7 +308,7 @@ Result<PreparedCampaign> PrepareCampaignRun(
   }
 
   prepared.use_preinjection = prepared.config.use_preinjection_analysis;
-  if (prepared.use_preinjection || prepared.config.use_equivalence) {
+  if (prepared.use_preinjection || use_equivalence) {
     prepared.def_use.Build(recorder, prepared.summary.reference.instructions);
   }
   if (prepared.use_preinjection) {
@@ -438,7 +389,7 @@ Result<PreparedCampaign> PrepareCampaignRun(
   // the rest will be logged as duplicate stubs. Draws on unmodeled
   // locations — or past a location's last access — fall back to
   // singleton classes: never unsound, only less pruned.
-  if (prepared.config.use_equivalence) {
+  if (use_equivalence) {
     const ExperimentPlan plan = prepared.MakePlan();  // equivalence still empty
     std::map<std::string, std::size_t> representatives;
     std::uint64_t planning_resamples = 0;  // run-time loop re-counts these

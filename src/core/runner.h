@@ -220,12 +220,6 @@ Status LogExperimentObservation(db::Database& database,
                                 const ExperimentDisposition* disposition,
                                 const PlannedEquivalence* equivalence = nullptr);
 
-// Rewrite the campaign's status/experiments_done columns.
-Status UpdateCampaignRunStatus(db::Database& database,
-                               const std::string& campaign_name,
-                               const std::string& status,
-                               std::size_t experiments_done);
-
 // The shared front half of a campaign run: load the stored campaign,
 // install the workload on `reference_target`, run the static analysis,
 // make (and log) the reference run, build the def-use index and the
@@ -254,8 +248,9 @@ struct PreparedCampaign {
   // reset; the logged database is identical either way.
   CheckpointStore checkpoints;
   bool checkpoint_fork = false;
-  // Equivalence-mode planning (config.use_equivalence): one verdict per
-  // planned experiment, in plan order. Empty when the mode is off.
+  // Equivalence-mode planning (static_analysis = equivalence): one
+  // verdict per planned experiment, in plan order. Empty when the mode
+  // is off.
   std::vector<PlannedEquivalence> equivalence;
   // Prefilled with the reference observation and static-analysis stats.
   CampaignSummary summary;
@@ -269,7 +264,9 @@ struct PreparedCampaign {
     plan.window_hi = window_hi;
     plan.preinjection = use_preinjection ? &def_use : nullptr;
     plan.checkpoints = checkpoint_fork ? &checkpoints : nullptr;
-    plan.equivalence = config.use_equivalence ? &equivalence : nullptr;
+    plan.equivalence =
+        config.static_analysis == StaticAnalysis::kEquivalence ? &equivalence
+                                                               : nullptr;
     return plan;
   }
 };

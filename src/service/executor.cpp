@@ -1,27 +1,12 @@
 #include "service/executor.h"
 
 #include "core/goofi.h"
-#include "util/config.h"
 
 namespace goofi::service {
 
-namespace {
-
-Result<core::CampaignConfig> ParseSubmissionConfig(
-    const std::string& config_text) {
-  ASSIGN_OR_RETURN(const Config file, Config::Parse(config_text));
-  const ConfigSection* section = file.FindSection("campaign");
-  if (section == nullptr) {
-    return InvalidArgumentError("submission has no [campaign] section");
-  }
-  return core::ParseCampaignConfig(*section);
-}
-
-}  // namespace
-
 Result<SubmissionInfo> InspectSubmission(const std::string& config_text) {
   ASSIGN_OR_RETURN(const core::CampaignConfig config,
-                   ParseSubmissionConfig(config_text));
+                   core::ParseCampaignText(config_text));
   SubmissionInfo info;
   info.name = config.name;
   info.jobs = config.jobs;
@@ -44,7 +29,7 @@ Result<SubmissionInfo> InspectSubmission(const std::string& config_text) {
 Result<core::CampaignSummary> ExecuteSubmission(
     const ExecutionRequest& request) {
   ASSIGN_OR_RETURN(const core::CampaignConfig config,
-                   ParseSubmissionConfig(request.config_text));
+                   core::ParseCampaignText(request.config_text));
   ASSIGN_OR_RETURN(db::Database database, core::OpenOrCreate(request.db_dir));
   // Resume is decided by the results database, not by daemon memory: a
   // stored campaign row means an earlier life already started this run.

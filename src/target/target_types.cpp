@@ -15,37 +15,33 @@ std::uint64_t EffectiveInstructionBudget(const TerminationSpec& experiment,
   return 2'000'000;
 }
 
+namespace {
+
+template <typename E, std::size_t N>
+std::optional<E> FromName(const char* const (&names)[N],
+                          const std::string& name) {
+  const auto found = std::find(std::begin(names), std::end(names), name);
+  if (found == std::end(names)) return std::nullopt;
+  return static_cast<E>(found - std::begin(names));
+}
+
+}  // namespace
+
 const char* TechniqueName(Technique technique) {
-  switch (technique) {
-    case Technique::kScifi: return "scifi";
-    case Technique::kSwifiPreRuntime: return "swifi_pre_runtime";
-    case Technique::kSwifiRuntime: return "swifi_runtime";
-  }
-  return "?";
+  return kTechniqueNames[static_cast<std::size_t>(technique)];
 }
 
 std::optional<Technique> TechniqueFromName(const std::string& name) {
-  if (name == "scifi") return Technique::kScifi;
-  if (name == "swifi_pre_runtime") return Technique::kSwifiPreRuntime;
-  if (name == "swifi_runtime") return Technique::kSwifiRuntime;
-  return std::nullopt;
+  return FromName<Technique>(kTechniqueNames, name);
 }
 
 const char* FaultModelKindName(FaultModel::Kind kind) {
-  switch (kind) {
-    case FaultModel::Kind::kTransientBitFlip: return "transient";
-    case FaultModel::Kind::kIntermittentBitFlip: return "intermittent";
-    case FaultModel::Kind::kPermanentStuckAt: return "permanent";
-  }
-  return "?";
+  return kFaultModelKindNames[static_cast<std::size_t>(kind)];
 }
 
 std::optional<FaultModel::Kind> FaultModelKindFromName(
     const std::string& name) {
-  if (name == "transient") return FaultModel::Kind::kTransientBitFlip;
-  if (name == "intermittent") return FaultModel::Kind::kIntermittentBitFlip;
-  if (name == "permanent") return FaultModel::Kind::kPermanentStuckAt;
-  return std::nullopt;
+  return FromName<FaultModel::Kind>(kFaultModelKindNames, name);
 }
 
 // ---------------------------------------------------------------------

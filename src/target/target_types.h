@@ -33,6 +33,9 @@ enum class Technique {
   kSwifiPreRuntime,
   kSwifiRuntime,
 };
+// Names by enumerator, as campaign inis and CampaignData spell them.
+inline constexpr const char* kTechniqueNames[] = {"scifi", "swifi_pre_runtime",
+                                                  "swifi_runtime"};
 
 const char* TechniqueName(Technique technique);
 std::optional<Technique> TechniqueFromName(const std::string& name);
@@ -52,7 +55,12 @@ struct FaultModel {
   std::uint64_t period = 0;       // intermittent: instructions between flips
   std::uint32_t occurrences = 0;  // intermittent: number of re-flips (0 = 1)
   bool stuck_to_one = true;       // permanent: stuck-at-1 vs stuck-at-0
+
+  bool operator==(const FaultModel&) const = default;
 };
+
+inline constexpr const char* kFaultModelKindNames[] = {
+    "transient", "intermittent", "permanent"};
 
 const char* FaultModelKindName(FaultModel::Kind kind);
 std::optional<FaultModel::Kind> FaultModelKindFromName(
@@ -71,6 +79,8 @@ struct FaultTarget {
 struct TerminationSpec {
   std::uint64_t max_instructions = 0;
   std::uint64_t max_iterations = 0;
+
+  bool operator==(const TerminationSpec&) const = default;
 };
 
 // The tool-level instruction budget a run executes under: the
@@ -89,6 +99,7 @@ enum class LoggingMode {
   kNormal,
   kDetail,
 };
+inline constexpr const char* kLoggingModeNames[] = {"normal", "detail"};
 
 // ---------------------------------------------------------------------
 // One fault-injection experiment (a row-to-be in LoggedSystemState).

@@ -64,19 +64,11 @@ double ConfigSection::GetDoubleOr(const std::string& key,
 Result<bool> ConfigSection::GetBool(const std::string& key) const {
   const auto raw = GetString(key);
   if (!raw) return NotFoundError("missing key '" + key + "'");
-  const std::string lower = AsciiToLower(*raw);
-  if (lower == "true" || lower == "1" || lower == "yes" || lower == "on") {
-    return true;
+  const std::optional<bool> parsed = ParseBool(*raw);
+  if (!parsed) {
+    return ParseError("key '" + key + "': not a boolean: '" + *raw + "'");
   }
-  if (lower == "false" || lower == "0" || lower == "no" || lower == "off") {
-    return false;
-  }
-  return ParseError("key '" + key + "': not a boolean: '" + *raw + "'");
-}
-
-bool ConfigSection::GetBoolOr(const std::string& key, bool fallback) const {
-  const auto v = GetBool(key);
-  return v.ok() ? *v : fallback;
+  return *parsed;
 }
 
 std::vector<std::string> ConfigSection::GetList(const std::string& key) const {

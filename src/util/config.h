@@ -41,7 +41,6 @@ class ConfigSection {
   Result<double> GetDouble(const std::string& key) const;
   double GetDoubleOr(const std::string& key, double fallback) const;
   Result<bool> GetBool(const std::string& key) const;  // true/false/1/0/yes/no
-  bool GetBoolOr(const std::string& key, bool fallback) const;
 
   // All values appended with `key[] =`, plus the scalar value if present.
   std::vector<std::string> GetList(const std::string& key) const;

@@ -147,6 +147,16 @@ std::optional<std::uint64_t> ParseUint64(std::string_view text) {
   return value;
 }
 
+std::optional<bool> ParseBool(std::string_view text) {
+  for (const char* yes : {"true", "1", "yes", "on"}) {
+    if (EqualsIgnoreCase(text, yes)) return true;
+  }
+  for (const char* no : {"false", "0", "no", "off"}) {
+    if (EqualsIgnoreCase(text, no)) return false;
+  }
+  return std::nullopt;
+}
+
 std::optional<double> ParseDouble(std::string_view text) {
   text = StripAsciiWhitespace(text);
   if (text.empty()) return std::nullopt;

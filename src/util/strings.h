@@ -33,6 +33,8 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 std::optional<std::int64_t> ParseInt64(std::string_view text);
 std::optional<std::uint64_t> ParseUint64(std::string_view text);
 std::optional<double> ParseDouble(std::string_view text);
+// true/false, yes/no, on/off, 1/0, in any case.
+std::optional<bool> ParseBool(std::string_view text);
 
 // printf-style formatting into std::string.
 std::string StrFormat(const char* format, ...)

@@ -2,16 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "target/cache_target.h"
+#include "target/factory.h"
 #include "target/thor_rd_target.h"
 
 namespace goofi::analysis {
 namespace {
 
+using core::LintCampaignText;
 using Severity = LintDiagnostic::Severity;
 
 const LintDiagnostic* Find(const std::vector<LintDiagnostic>& diagnostics,
@@ -544,23 +548,97 @@ TEST(LintCampaignTest, CacheCampaignIniIsClean) {
 }
 
 TEST(LintCampaignTest, RepositoryCampaignsAreClean) {
-  // The campaigns shipped in campaigns/ must stay lint-clean; CI runs
-  // goofi-lint over them.
-  target::ThorRdTarget thor;
-  const auto locations = thor.ListLocations();
-  for (const char* name : {"engine_preinjection", "image_swifi",
-                           "regs_scifi", "regs_scifi_supervised",
-                           "regs_scifi_equivalence"}) {
-    const std::string path =
-        std::string(GOOFI_CAMPAIGNS_DIR "/") + name + ".ini";
+  // Every ini shipped in campaigns/ must stay lint-clean against the
+  // board its campaign names, and every campaign in it must parse; CI
+  // runs goofi-lint --strict over them.
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(GOOFI_CAMPAIGNS_DIR)) {
+    if (entry.path().extension() != ".ini") continue;
+    ++files;
+    const std::string path = entry.path().string();
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good()) << path;
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::vector<target::TargetSystemInterface::LocationInfo> locations;
+    if (text.find("[campaign]") != std::string::npos) {
+      const auto config = core::ParseCampaignText(text);
+      ASSERT_TRUE(config.ok()) << path << ": " << config.status().ToString();
+      auto factory = target::BuiltinTargetFactory(config->target);
+      ASSERT_TRUE(factory.ok()) << path;
+      auto board = (*factory)();
+      ASSERT_TRUE(board.ok()) << path;
+      locations = (*board)->ListLocations();
+    }
     const auto diagnostics = LintCampaignText(path, text, &locations);
     EXPECT_TRUE(diagnostics.empty())
         << FormatDiagnostic(diagnostics.front());
   }
+  EXPECT_GE(files, 8u);
+}
+
+TEST(LintCampaignTest, MalformedValuesAreBadValueErrors) {
+  // These once parsed as the key's default and linted clean.
+  const auto diagnostics = LintCampaign(std::string(kCleanCampaign) +
+                                        "checkpoint_mode = ture\n"  // 7
+                                        "jobs = four\n"             // 8
+                                        "multiplicity = -1\n"       // 9
+                                        "seed = 3x\n");             // 10
+  std::vector<int> lines;
+  for (const LintDiagnostic& diagnostic : diagnostics) {
+    if (diagnostic.check == "bad-value" &&
+        diagnostic.severity == Severity::kError) {
+      lines.push_back(diagnostic.line);
+    }
+  }
+  EXPECT_EQ(lines, (std::vector<int>{7, 8, 9, 10}));
+  const auto experiments =
+      LintCampaign("[campaign]\nname = demo\nworkload = isort\n"
+                   "experiments = 3x\n");
+  const LintDiagnostic* found = Find(experiments, "bad-value");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->severity, Severity::kError);
+  EXPECT_EQ(found->line, 4);
+  EXPECT_NE(found->message.find("experiments"), std::string::npos);
+}
+
+TEST(LintCampaignTest, ValueErrorPointsAtTheAssignmentThatCounts) {
+  // A repeated scalar key takes its last value, so a bad last value is
+  // reported there, not at the earlier valid line.
+  const auto diagnostics = LintCampaign(std::string(kCleanCampaign) +
+                                        "experiments = 3x\n");  // line 7
+  const LintDiagnostic* found = Find(diagnostics, "bad-value");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->line, 7);
+  const auto service = LintCampaign(
+      "[service]\nfleet_workers = 2\nfleet_workers = -1\n");
+  found = Find(service, "bad-value");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->line, 3);
+}
+
+TEST(LintCampaignTest, ZeroJobsIsAnError) {
+  const auto diagnostics =
+      LintCampaign(std::string(kCleanCampaign) + "jobs = 0\n");
+  const LintDiagnostic* found = Find(diagnostics, "bad-value");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->severity, Severity::kError);
+  EXPECT_EQ(found->line, 7);
+}
+
+TEST(LintCampaignTest, CheckpointForkOnPreRuntimeSwifiIsIgnored) {
+  const auto diagnostics = LintCampaign(
+      "[campaign]\n"
+      "name = demo\n"
+      "workload = qsort\n"
+      "technique = swifi_pre_runtime\n"
+      "checkpoint_mode = true\n");  // line 5
+  const LintDiagnostic* found = Find(diagnostics, "ignored-key");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->severity, Severity::kWarning);
+  EXPECT_EQ(found->line, 5);
+  EXPECT_NE(found->message.find("runtime injection"), std::string::npos);
 }
 
 // ---- machine-readable output and deduplication ------------------------
@@ -713,6 +791,21 @@ TEST(LintServiceTest, UnknownServiceKeyWarns) {
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->severity, Severity::kWarning);
   EXPECT_EQ(found->line, 2);
+}
+
+TEST(LintServiceTest, MalformedServiceValuesAreErrors) {
+  const auto diagnostics = LintCampaign(
+      "[service]\n"
+      "fleet_workers = four\n"
+      "queue_limit = 2x\n"
+      "max_campaign_jobs = 8\n");
+  std::size_t bad_values = 0;
+  for (const LintDiagnostic& diagnostic : diagnostics) {
+    if (diagnostic.check == "bad-value") ++bad_values;
+  }
+  EXPECT_EQ(bad_values, 2u);
+  // No fleet to compare against, so no jobs-exceed-fleet.
+  EXPECT_EQ(Find(diagnostics, "jobs-exceed-fleet"), nullptr);
 }
 
 TEST(LintServiceTest, ServiceSectionComposesWithACampaignSection) {

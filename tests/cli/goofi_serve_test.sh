@@ -66,6 +66,19 @@ location[] = cpu.regs.*
 jobs = 2
 EOF
 
+# --- malformed [service] values are rejected at boot ---------------------
+# Each value is one the ini parser rejects before the daemon starts (no
+# fleet is ever created); `timeout` bounds a daemon that starts anyway.
+for BAD in "fleet_workers = four" "queue_limit = -1" "max_campaign_jobs = -1"; do
+  printf '[service]\nroot = %s\n%s\n' "$WORK/bad_root" "$BAD" > bad_serve.ini
+  if timeout 10 "$SERVE" --config bad_serve.ini > bad_serve.log 2>&1; then
+    fail "'$BAD' must be rejected"
+  fi
+  grep -q "INVALID_ARGUMENT: ${BAD%% *}" bad_serve.log \
+    || fail "'$BAD' must be rejected naming the key: $(cat bad_serve.log)"
+  test ! -e "$WORK/bad_root" || fail "'$BAD' must be rejected before start"
+done
+
 # --- reference: one-shot goofi_tool runs of the same inis ---------------
 "$TOOL" run alpha.ini --db ref_alpha > /dev/null 2>&1 || fail "ref alpha"
 "$TOOL" run beta.ini --db ref_beta > /dev/null 2>&1 || fail "ref beta"

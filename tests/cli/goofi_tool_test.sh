@@ -71,4 +71,25 @@ if "$TOOL" run campaign.ini --db dbdir > rerun2.out 2>&1; then
   fail "re-running a completed campaign must fail (use resume)"
 fi
 
+# --- a bad ini is rejected before anything is stored ---------------------
+# An unknown trigger once committed the campaign row and failed only at
+# sampling time; the stored row then beat the corrected ini.
+sed 's/^name = cli_demo/name = cli_fixed/' campaign.ini > fixed.ini
+{ cat fixed.ini; echo "trigger = instrett"; } > typo.ini
+if "$TOOL" run typo.ini --db dbdir > typo.out 2>&1; then
+  fail "an unknown trigger kind must be rejected"
+fi
+grep -q "INVALID_ARGUMENT.*trigger kind 'instrett'" typo.out \
+  || fail "the error must name the bad value: $(cat typo.out)"
+"$TOOL" sql "SELECT COUNT(*) FROM CampaignData WHERE campaign_name = 'cli_fixed'" \
+  --db dbdir | grep -qx "0" || fail "a rejected ini must store no campaign row"
+{ cat fixed.ini; echo "experiments = 3x"; } > typed.ini
+if "$TOOL" run typed.ini --db dbdir > typed.out 2>&1; then
+  fail "a malformed count must be rejected, not read as the default"
+fi
+grep -q "experiments" typed.out || fail "the error must name the key"
+"$TOOL" run fixed.ini --db dbdir > fixed.out 2>&1 \
+  || fail "the corrected ini must run on the same --db: $(cat fixed.out)"
+grep -q "25 experiments run" fixed.out || fail "corrected run"
+
 echo "goofi_tool CLI: all checks passed"

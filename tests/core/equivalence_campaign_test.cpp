@@ -50,8 +50,7 @@ class EquivalenceCampaignTest : public ::testing::Test {
     config.seed = 7;
     config.location_filters = {"cpu.regs.*"};
     config.use_preinjection_analysis = true;
-    config.use_static_analysis = true;
-    config.use_equivalence = true;
+    config.static_analysis = StaticAnalysis::kEquivalence;
     config.time_window_lo = 0;
     config.time_window_hi = 30;
     return config;
@@ -167,16 +166,14 @@ TEST_F(EquivalenceCampaignTest, EquivalenceModeRoundTripsThroughTheDb) {
   SetUpDatabase(database, config);
   auto loaded = LoadCampaign(database, "equiv_rt");
   ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->use_static_analysis);
-  EXPECT_TRUE(loaded->use_equivalence);
+  EXPECT_EQ(loaded->static_analysis, StaticAnalysis::kEquivalence);
 
   CampaignConfig liveness_only = MakeConfig("liveness_rt");
-  liveness_only.use_equivalence = false;
+  liveness_only.static_analysis = StaticAnalysis::kLiveness;
   ASSERT_TRUE(StoreCampaign(database, liveness_only).ok());
   auto loaded_liveness = LoadCampaign(database, "liveness_rt");
   ASSERT_TRUE(loaded_liveness.ok());
-  EXPECT_TRUE(loaded_liveness->use_static_analysis);
-  EXPECT_FALSE(loaded_liveness->use_equivalence);
+  EXPECT_EQ(loaded_liveness->static_analysis, StaticAnalysis::kLiveness);
 }
 
 TEST_F(EquivalenceCampaignTest, CrossCheckProvesHomogeneityAndBounds) {
@@ -229,8 +226,7 @@ TEST_F(EquivalenceCampaignTest, CrossCheckDetectsATamperedRepresentative) {
 // nor the class counts may move.
 TEST_F(EquivalenceCampaignTest, PlanningFiguresArePinned) {
   CampaignConfig liveness = MakeConfig("pinned_liveness");
-  liveness.use_static_analysis = false;
-  liveness.use_equivalence = false;
+  liveness.static_analysis = StaticAnalysis::kOff;
   liveness.time_window_hi = 0;  // the whole run
   const CampaignConfig equivalence = MakeConfig("pinned_equiv");
 

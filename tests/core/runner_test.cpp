@@ -278,11 +278,13 @@ TEST_F(RunnerTest, TargetMismatchFails) {
 
 TEST_F(RunnerTest, TriggerKindsProduceRunnableCampaigns) {
   CampaignRunner runner(&database_, &target_);
-  for (const std::string trigger :
-       {"instret", "rtc", "branch", "call", "pc", "data_read",
-        "data_write"}) {
+  for (const TriggerKind kind :
+       {TriggerKind::kInstret, TriggerKind::kRtc, TriggerKind::kBranch,
+        TriggerKind::kCall, TriggerKind::kPc, TriggerKind::kDataRead,
+        TriggerKind::kDataWrite}) {
+    const std::string trigger = TriggerKindName(kind);
     CampaignConfig config = MakeConfig("trig_" + trigger, 8);
-    config.trigger_kind = trigger;
+    config.trigger_kind = kind;
     ASSERT_TRUE(StoreCampaign(database_, config).ok());
     auto summary = runner.Run("trig_" + trigger);
     ASSERT_TRUE(summary.ok()) << trigger << ": "

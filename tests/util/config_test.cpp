@@ -57,7 +57,7 @@ TEST(ConfigTest, TypedGetters) {
   const ConfigSection* campaign = config->FindSection("campaign");
   EXPECT_EQ(campaign->GetIntOr("experiments", 0), 500);
   EXPECT_DOUBLE_EQ(campaign->GetDoubleOr("ratio", 0), 0.25);
-  EXPECT_TRUE(campaign->GetBoolOr("enabled", false));
+  EXPECT_TRUE(*campaign->GetBool("enabled"));
   EXPECT_EQ(campaign->GetIntOr("missing", -7), -7);
   const auto bad = campaign->GetInt("name");
   EXPECT_FALSE(bad.ok());
