@@ -79,6 +79,15 @@ bool LoadConfigFile(const char* path, service::ServiceConfig* config,
   return true;
 }
 
+// The count a --fleet, --queue or --max-jobs flag sets; null for any
+// other argument.
+std::size_t* CountFlag(const char* flag, service::ServiceConfig* config) {
+  if (std::strcmp(flag, "--fleet") == 0) return &config->fleet_workers;
+  if (std::strcmp(flag, "--queue") == 0) return &config->queue_limit;
+  if (std::strcmp(flag, "--max-jobs") == 0) return &config->max_campaign_jobs;
+  return nullptr;
+}
+
 // Async-signal-safe shutdown request; the main loop polls it.
 volatile std::sig_atomic_t g_shutdown_requested = 0;
 
@@ -101,13 +110,13 @@ int main(int argc, char** argv) {
       config.root = argv[++i];
     } else if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
       socket_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--fleet") == 0 && i + 1 < argc) {
-      config.fleet_workers = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--queue") == 0 && i + 1 < argc) {
-      config.queue_limit = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-jobs") == 0 && i + 1 < argc) {
-      config.max_campaign_jobs =
-          static_cast<std::size_t>(std::atol(argv[++i]));
+    } else if (std::size_t* count = CountFlag(argv[i], &config);
+               count != nullptr && i + 1 < argc) {
+      // The [service] keys' rule: a bad value fails boot, naming the flag.
+      const auto parsed = core::ParseServiceCount(argv[i], argv[i + 1]);
+      if (!parsed.ok()) return Fail(parsed.status());
+      *count = *parsed;
+      ++i;
     } else {
       std::fprintf(stderr,
                    "usage: goofi_serve [--config FILE.ini] [--root DIR] "

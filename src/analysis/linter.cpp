@@ -13,6 +13,7 @@
 #include "sim/assembler.h"
 #include "target/environment.h"
 #include "target/io_map.h"
+#include "target/workloads.h"
 #include "util/config.h"
 #include "util/strings.h"
 
@@ -302,20 +303,29 @@ std::vector<LintDiagnostic> LintWorkloadSpecFile(const std::string& file) {
         "workload has no name");
   }
 
-  const auto output_base = section->GetIntOr("output_base", 0);
-  const auto output_length = section->GetIntOr("output_length", 0);
-  if (output_length > 0) {
-    const auto base = static_cast<std::uint32_t>(output_base);
+  // The loader's typed reads: each value it rejects is an error at the
+  // line whose value counts (the last one assigning the key).
+  for (const char* key : target::kWorkloadNumberKeys) {
+    const auto value = target::WorkloadNumber(*section, key);
+    if (!value.ok()) {
+      Add(&out, Severity::kError, file, LineOfKey(text, key, /*last=*/true),
+          "bad-value", value.status().message());
+    }
+  }
+  const auto output_base = target::WorkloadNumber(*section, "output_base");
+  const auto output_length =
+      target::WorkloadNumber(*section, "output_length");
+  if (output_base.ok() && output_length.ok() && *output_length > 0) {
+    const auto base = static_cast<std::uint32_t>(*output_base);
+    const auto length = static_cast<std::uint32_t>(*output_length);
     const Segment* lo = SegmentOf(base);
-    const Segment* hi = SegmentOf(
-        base + static_cast<std::uint32_t>(output_length) - 1);
+    const Segment* hi = SegmentOf(base + length - 1);
     if (lo == nullptr || hi != lo) {
       Add(&out, Severity::kError, file, LineOfKey(text, "output_base"),
           "output-range",
           StrFormat("output region [0x%08x, 0x%08x) is not inside one "
                     "mapped segment",
-                    base,
-                    base + static_cast<std::uint32_t>(output_length)));
+                    base, base + length));
     }
   }
 

@@ -196,11 +196,15 @@ std::vector<analysis::LintDiagnostic> LintCampaignText(
     const std::vector<target::TargetSystemInterface::LocationInfo>*
         locations);
 // A [service] count (fleet_workers, queue_limit, max_campaign_jobs):
-// `fallback` when absent, else an integer >= 1, or InvalidArgument
-// naming the key. goofi_serve boots through it.
+// `fallback` when absent, else ParseServiceCount's rule. goofi_serve
+// boots through it.
 Result<std::size_t> ServiceCount(const ConfigSection& section,
                                  const std::string& key,
                                  std::size_t fallback);
+// The count rule on one value: an integer >= 1, or InvalidArgument
+// naming `name` (the ini key, or the goofi_serve flag that set it).
+Result<std::size_t> ParseServiceCount(const std::string& name,
+                                      const std::string& value);
 
 // ---- database round trip -----------------------------------------------
 // The CampaignData CREATE TABLE statement, generated from the key table.

@@ -63,24 +63,29 @@ void LintServiceSection(const std::string& file, const std::string& text,
 
 }  // namespace
 
+Result<std::size_t> ParseServiceCount(const std::string& name,
+                                      const std::string& value) {
+  const std::optional<std::int64_t> count = ParseInt64(value);
+  if (!count) {
+    return InvalidArgumentError(StrFormat("%s must be an integer, got '%s'",
+                                          name.c_str(), value.c_str()));
+  }
+  if (*count < 1) {
+    return InvalidArgumentError(
+        name + " must be >= 1" +
+        (name == "queue_limit" || name == "--queue"
+             ? " (the daemon needs at least one submission slot)"
+             : ""));
+  }
+  return static_cast<std::size_t>(*count);
+}
+
 Result<std::size_t> ServiceCount(const ConfigSection& section,
                                  const std::string& key,
                                  std::size_t fallback) {
   const std::optional<std::string> value = section.GetString(key);
   if (!value) return fallback;
-  const std::optional<std::int64_t> count = ParseInt64(*value);
-  if (!count) {
-    return InvalidArgumentError(StrFormat("%s must be an integer, got '%s'",
-                                          key.c_str(), value->c_str()));
-  }
-  if (*count < 1) {
-    return InvalidArgumentError(
-        key + " must be >= 1" +
-        (key == "queue_limit"
-             ? " (the daemon needs at least one submission slot)"
-             : ""));
-  }
-  return static_cast<std::size_t>(*count);
+  return ParseServiceCount(key, *value);
 }
 
 std::vector<LintDiagnostic> LintCampaignText(

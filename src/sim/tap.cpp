@@ -26,48 +26,49 @@ const char* TapStateName(TapState state) {
   return "?";
 }
 
+namespace {
+
+// IEEE 1149.1: an opcode the device does not assign selects BYPASS.
+TapInstruction DecodeInstruction(unsigned code) {
+  switch (code) {
+    case 0x1: return TapInstruction::kIdcode;
+    case 0x2: return TapInstruction::kScanInternal;
+    case 0x3: return TapInstruction::kScanBoundary;
+    default: return TapInstruction::kBypass;
+  }
+}
+
+}  // namespace
+
 TapController::TapController(const ScanChainSet* chains, Cpu* cpu)
     : chains_(chains), cpu_(cpu) {
   dr_shift_.Resize(1);
 }
 
 TapState TapController::NextState(bool tms) const {
-  // The IEEE 1149.1 state graph.
-  switch (state_) {
-    case TapState::kTestLogicReset:
-      return tms ? TapState::kTestLogicReset : TapState::kRunTestIdle;
-    case TapState::kRunTestIdle:
-      return tms ? TapState::kSelectDrScan : TapState::kRunTestIdle;
-    case TapState::kSelectDrScan:
-      return tms ? TapState::kSelectIrScan : TapState::kCaptureDr;
-    case TapState::kCaptureDr:
-      return tms ? TapState::kExit1Dr : TapState::kShiftDr;
-    case TapState::kShiftDr:
-      return tms ? TapState::kExit1Dr : TapState::kShiftDr;
-    case TapState::kExit1Dr:
-      return tms ? TapState::kUpdateDr : TapState::kPauseDr;
-    case TapState::kPauseDr:
-      return tms ? TapState::kExit2Dr : TapState::kPauseDr;
-    case TapState::kExit2Dr:
-      return tms ? TapState::kUpdateDr : TapState::kShiftDr;
-    case TapState::kUpdateDr:
-      return tms ? TapState::kSelectDrScan : TapState::kRunTestIdle;
-    case TapState::kSelectIrScan:
-      return tms ? TapState::kTestLogicReset : TapState::kCaptureIr;
-    case TapState::kCaptureIr:
-      return tms ? TapState::kExit1Ir : TapState::kShiftIr;
-    case TapState::kShiftIr:
-      return tms ? TapState::kExit1Ir : TapState::kShiftIr;
-    case TapState::kExit1Ir:
-      return tms ? TapState::kUpdateIr : TapState::kPauseIr;
-    case TapState::kPauseIr:
-      return tms ? TapState::kExit2Ir : TapState::kPauseIr;
-    case TapState::kExit2Ir:
-      return tms ? TapState::kUpdateIr : TapState::kShiftIr;
-    case TapState::kUpdateIr:
-      return tms ? TapState::kSelectDrScan : TapState::kRunTestIdle;
-  }
-  return TapState::kTestLogicReset;
+  // The IEEE 1149.1 state graph: {TMS = 0, TMS = 1} successors, in
+  // TapState order.
+  using S = TapState;
+  static_assert(static_cast<int>(S::kUpdateIr) == 15, "one row per state");
+  static constexpr TapState kNext[16][2] = {
+      {S::kRunTestIdle, S::kTestLogicReset},  // Test-Logic-Reset
+      {S::kRunTestIdle, S::kSelectDrScan},    // Run-Test/Idle
+      {S::kCaptureDr, S::kSelectIrScan},      // Select-DR-Scan
+      {S::kShiftDr, S::kExit1Dr},             // Capture-DR
+      {S::kShiftDr, S::kExit1Dr},             // Shift-DR
+      {S::kPauseDr, S::kUpdateDr},            // Exit1-DR
+      {S::kPauseDr, S::kExit2Dr},             // Pause-DR
+      {S::kShiftDr, S::kUpdateDr},            // Exit2-DR
+      {S::kRunTestIdle, S::kSelectDrScan},    // Update-DR
+      {S::kCaptureIr, S::kTestLogicReset},    // Select-IR-Scan
+      {S::kShiftIr, S::kExit1Ir},             // Capture-IR
+      {S::kShiftIr, S::kExit1Ir},             // Shift-IR
+      {S::kPauseIr, S::kUpdateIr},            // Exit1-IR
+      {S::kPauseIr, S::kExit2Ir},             // Pause-IR
+      {S::kShiftIr, S::kUpdateIr},            // Exit2-IR
+      {S::kRunTestIdle, S::kSelectDrScan},    // Update-IR
+  };
+  return kNext[static_cast<int>(state_)][tms ? 1 : 0];
 }
 
 std::size_t TapController::SelectedRegisterLength() const {
@@ -150,13 +151,23 @@ bool TapController::Clock(bool tms, bool tdi) {
     UpdateSelected();
   }
   if (next == TapState::kUpdateIr && state_ != TapState::kUpdateIr) {
-    instruction_ = static_cast<TapInstruction>(ir_shift_ & 0xf);
+    instruction_ = DecodeInstruction(ir_shift_ & 0xf);
   }
   if (next == TapState::kTestLogicReset) {
     instruction_ = TapInstruction::kBypass;
   }
   state_ = next;
   return tdo;
+}
+
+void TapController::ShiftDr(std::size_t count, const BitVector* tdi,
+                            BitVector* tdo) {
+  assert(state_ == TapState::kShiftDr && count >= 1);
+  // Clock() in Shift-DR shifts one bit per TCK; TMS 0 keeps the state,
+  // and the final TMS 1 enters Exit1-DR, which has no update action.
+  tck_cycles_ += count;
+  dr_shift_.ShiftThrough(count, tdi, tdo);
+  state_ = TapState::kExit1Dr;
 }
 
 void TapController::Reset() {
@@ -183,30 +194,21 @@ void TapController::LoadInstruction(TapInstruction instruction) {
 }
 
 BitVector TapController::ReadDataRegister() {
-  // Read without modifying: shift the captured image out and right back
-  // in (the bits we shift in are the ones we just read).
+  // Read without modifying: shift the captured image out, feeding zeros,
+  // then shift the same bits right back in before Update-DR.
   assert(state_ == TapState::kRunTestIdle);
   Clock(true, false);   // Select-DR-Scan
   Clock(false, false);  // Capture-DR
   Clock(false, false);  // -> Shift-DR (capture happened on that clock)
   const std::size_t n = SelectedRegisterLength();
-  BitVector out(n);
-  // First pass: read all bits, feeding zeros.
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool tdo = Clock(/*tms=*/i + 1 == n, /*tdi=*/false);
-    out.Set(i, tdo);
-  }
-  // state: Exit1-DR. Avoid Update-DR (which would apply the zeros we
-  // shifted in): Exit1 -> Pause -> Exit2 -> Shift, re-shift the original
-  // image, then update. Cheaper: go through Update but first restore the
-  // image by a second full rotation. Simplest correct path: re-enter
-  // Shift-DR and shift the saved image back in, then update.
+  BitVector out;
+  ShiftDr(n, /*tdi=*/nullptr, &out);  // -> Exit1-DR
+  // Update-DR now would apply the zeros we shifted in, so re-enter
+  // Shift-DR through Pause-DR and shift the saved image back in first.
   Clock(false, false);  // Pause-DR
   Clock(true, false);   // Exit2-DR
   Clock(false, false);  // Shift-DR
-  for (std::size_t i = 0; i < n; ++i) {
-    Clock(/*tms=*/i + 1 == n, out.Get(i));
-  }
+  ShiftDr(n, &out, /*tdo=*/nullptr);  // -> Exit1-DR
   Clock(true, false);   // Update-DR (writes back what we read: no-op image)
   Clock(false, false);  // Run-Test/Idle
   return out;
@@ -218,12 +220,8 @@ BitVector TapController::ExchangeDataRegister(const BitVector& image) {
   Clock(true, false);   // Select-DR-Scan
   Clock(false, false);  // Capture-DR
   Clock(false, false);  // -> Shift-DR
-  const std::size_t n = image.size();
-  BitVector out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool tdo = Clock(/*tms=*/i + 1 == n, image.Get(i));
-    out.Set(i, tdo);
-  }
+  BitVector out;
+  ShiftDr(image.size(), &image, &out);  // -> Exit1-DR
   Clock(true, false);   // Update-DR: the shifted-in image is applied
   Clock(false, false);  // Run-Test/Idle
   return out;

@@ -5,14 +5,18 @@
 // conforming to the IEEE standard for boundary scan". We model the
 // full 16-state TAP FSM: the test card reaches the chains only by
 // clocking TMS/TDI sequences through this controller, so scan access
-// costs shift-cycles proportional to chain length — the quantity
-// bench_scan_chain measures.
+// costs shift-cycles (TCK) proportional to chain length — the quantity
+// bench_scan_chain reports as tck_per_read. Host time is not: a Shift-DR
+// pass (ShiftDr) moves all its bits with word operations, so a read of
+// the 5,642-bit internal chain still counts 11,292 TCK but costs about
+// as much host time as capturing the chain once.
 //
 // Supported TAP instructions (4-bit IR):
 //   IDCODE        0x1  -> 32-bit device identification register
 //   SCAN_INTERNAL 0x2  -> the internal chain of BuildThorRdScanChains
 //   SCAN_BOUNDARY 0x3  -> the boundary chain
-//   BYPASS        0xF  -> 1-bit bypass register (also the reset value)
+//   BYPASS        0xF  -> 1-bit bypass register (also the reset value,
+//                         and what every unassigned opcode selects)
 #pragma once
 
 #include <cstdint>
@@ -54,6 +58,13 @@ class TapController {
   // Clock one TCK edge with the given TMS/TDI levels; returns TDO.
   bool Clock(bool tms, bool tdi);
 
+  // One Shift-DR pass of `count` TCK, exactly as `count` Clock() calls:
+  // TDI bit i (of `*tdi`, or 0 when `tdi` is null) on clock i, TMS 0 on
+  // every clock but the last, so the controller ends in Exit1-DR. The TDO
+  // bits go to `*tdo` (bit 0 first) unless it is null. `tdi` holds
+  // `count` bits and is not `tdo`. Must be called in Shift-DR, count >= 1.
+  void ShiftDr(std::size_t count, const BitVector* tdi, BitVector* tdo);
+
   // Synchronous reset (5 TMS=1 clocks reach Test-Logic-Reset from any
   // state; this helper just does it).
   void Reset();
@@ -63,7 +74,7 @@ class TapController {
   TapControllerState CaptureState() const;
   void RestoreState(const TapControllerState& state);
 
-  // --- test-card conveniences built on Clock() ------------------------
+  // --- test-card conveniences built on Clock() and ShiftDr() -----------
   // Load a TAP instruction through Shift-IR.
   void LoadInstruction(TapInstruction instruction);
   // Capture + shift out the selected data register. The returned image

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
-#include "util/config.h"
 #include "util/strings.h"
 
 namespace goofi::target {
@@ -454,6 +455,28 @@ Result<WorkloadSpec> GetBuiltinWorkload(const std::string& name) {
   return NotFoundError("no built-in workload named '" + name + "'");
 }
 
+Result<std::uint64_t> WorkloadNumber(const ConfigSection& section,
+                                     const std::string& key) {
+  const std::optional<std::string> text = section.GetString(key);
+  if (!text) return std::uint64_t{0};
+  const std::optional<std::uint64_t> value = ParseUint64(*text);
+  if (!value) {
+    if (ParseInt64(*text)) {
+      return InvalidArgumentError(StrFormat("%s must be >= 0, got '%s'",
+                                            key.c_str(), text->c_str()));
+    }
+    return InvalidArgumentError(StrFormat("%s must be an integer, got '%s'",
+                                          key.c_str(), text->c_str()));
+  }
+  const bool is_32_bit = key == "output_base" || key == "output_length";
+  if (is_32_bit && *value > std::numeric_limits<std::uint32_t>::max()) {
+    return InvalidArgumentError(
+        StrFormat("%s must fit 32 bits, got '%s'", key.c_str(),
+                  text->c_str()));
+  }
+  return *value;
+}
+
 Result<WorkloadSpec> LoadWorkloadSpecFromFile(const std::string& path) {
   ASSIGN_OR_RETURN(const Config config, Config::LoadFile(path));
   const ConfigSection* section = config.FindSection("workload");
@@ -483,21 +506,17 @@ Result<WorkloadSpec> LoadWorkloadSpecFromFile(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   spec.assembly = text.str();
-  ASSIGN_OR_RETURN(const std::int64_t base,
-                   section->Has("output_base")
-                       ? section->GetInt("output_base")
-                       : Result<std::int64_t>(0));
-  ASSIGN_OR_RETURN(const std::int64_t length,
-                   section->Has("output_length")
-                       ? section->GetInt("output_length")
-                       : Result<std::int64_t>(0));
+  ASSIGN_OR_RETURN(const std::uint64_t base,
+                   WorkloadNumber(*section, "output_base"));
+  ASSIGN_OR_RETURN(const std::uint64_t length,
+                   WorkloadNumber(*section, "output_length"));
   spec.output_base = static_cast<std::uint32_t>(base);
   spec.output_length = static_cast<std::uint32_t>(length);
   spec.environment = section->GetStringOr("environment", "");
-  spec.termination.max_instructions = static_cast<std::uint64_t>(
-      section->GetIntOr("max_instructions", 0));
-  spec.termination.max_iterations = static_cast<std::uint64_t>(
-      section->GetIntOr("max_iterations", 0));
+  ASSIGN_OR_RETURN(spec.termination.max_instructions,
+                   WorkloadNumber(*section, "max_instructions"));
+  ASSIGN_OR_RETURN(spec.termination.max_iterations,
+                   WorkloadNumber(*section, "max_iterations"));
   return spec;
 }
 

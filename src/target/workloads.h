@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "target/target_types.h"
+#include "util/config.h"
 #include "util/status.h"
 
 namespace goofi::target {
@@ -49,5 +50,16 @@ Result<WorkloadSpec> GetBuiltinWorkload(const std::string& name);
 //   max_iterations = 0                  ; optional
 //   environment = engine                ; optional
 Result<WorkloadSpec> LoadWorkloadSpecFromFile(const std::string& path);
+
+// The numeric keys of a `.workload` file's [workload] section, typed:
+// output_base and output_length fit 32 bits (an address and a byte
+// count on the 32-bit target); max_instructions and max_iterations are
+// any non-negative 64-bit count. Reads 0 when the key is absent, and is
+// InvalidArgument naming the key when its value is not such an integer.
+// The loader and goofi-lint both read these keys through it.
+inline constexpr const char* kWorkloadNumberKeys[] = {
+    "output_base", "output_length", "max_instructions", "max_iterations"};
+Result<std::uint64_t> WorkloadNumber(const ConfigSection& section,
+                                     const std::string& key);
 
 }  // namespace goofi::target

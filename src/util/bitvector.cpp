@@ -12,6 +12,24 @@ constexpr std::size_t kWordBits = 64;
 std::size_t WordCount(std::size_t bits) {
   return (bits + kWordBits - 1) / kWordBits;
 }
+
+// The 64 bits of `words` (a vector of `bits` bits, tail masked) starting
+// at bit `pos`, with zeros wherever the window reaches outside [0, bits).
+std::uint64_t Window(const std::uint64_t* words, std::size_t bits,
+                     std::ptrdiff_t pos) {
+  if (pos <= -static_cast<std::ptrdiff_t>(kWordBits) ||
+      pos >= static_cast<std::ptrdiff_t>(bits)) {
+    return 0;
+  }
+  if (pos < 0) return words[0] << -pos;
+  const std::size_t word = static_cast<std::size_t>(pos) / kWordBits;
+  const std::size_t shift = static_cast<std::size_t>(pos) % kWordBits;
+  std::uint64_t value = words[word] >> shift;
+  if (shift != 0 && word + 1 < WordCount(bits)) {
+    value |= words[word + 1] << (kWordBits - shift);
+  }
+  return value;
+}
 }  // namespace
 
 void BitVector::Resize(std::size_t bit_count) {
@@ -111,18 +129,48 @@ void BitVector::FillOne() {
   MaskTail();
 }
 
+void BitVector::ShiftThrough(const std::uint64_t* in, std::size_t count,
+                             std::uint64_t* out) {
+  // The vector followed by `in` is one stream of size + count bits: its
+  // first `count` bits leave, and the next `size` bits are what remains.
+  std::uint64_t* self = words_.data();
+  const auto n = static_cast<std::ptrdiff_t>(bit_count_);
+  const auto stream_word = [&](std::ptrdiff_t pos) {
+    const std::uint64_t low = Window(self, bit_count_, pos);
+    return in != nullptr ? low | Window(in, count, pos - n) : low;
+  };
+  if (out != nullptr) {
+    const std::size_t out_words = WordCount(count);
+    for (std::size_t i = 0; i < out_words; ++i) {
+      out[i] = stream_word(static_cast<std::ptrdiff_t>(i * kWordBits));
+    }
+    if (count % kWordBits != 0) {
+      out[out_words - 1] &= (std::uint64_t{1} << (count % kWordBits)) - 1;
+    }
+  }
+  // In place: word i is written only after every read of words >= i,
+  // and the windows that build it start at or above bit i * 64. The new
+  // top word needs no mask: the stream ends at size + count.
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    self[i] = stream_word(static_cast<std::ptrdiff_t>(count + i * kWordBits));
+  }
+}
+
+void BitVector::ShiftThrough(std::size_t count, const BitVector* in,
+                             BitVector* out) {
+  assert(in == nullptr || (in->size() == count && in != out && in != this));
+  assert(out != this);
+  if (out != nullptr) out->Resize(count);
+  ShiftThrough(in != nullptr ? in->words_.data() : nullptr, count,
+               out != nullptr ? out->words_.data() : nullptr);
+}
+
 bool BitVector::ShiftRightInsertTop(bool top) {
   assert(bit_count_ > 0);
-  const bool out = (words_[0] & 1u) != 0;
-  for (std::size_t i = 0; i + 1 < words_.size(); ++i) {
-    words_[i] = (words_[i] >> 1) | (words_[i + 1] << 63);
-  }
-  words_.back() >>= 1;
-  if (top) {
-    const std::size_t last = bit_count_ - 1;
-    words_[last / kWordBits] |= std::uint64_t{1} << (last % kWordBits);
-  }
-  return out;
+  const std::uint64_t in = top ? 1 : 0;
+  std::uint64_t out = 0;
+  ShiftThrough(&in, 1, &out);
+  return out != 0;
 }
 
 std::string BitVector::ToBitString() const {

@@ -39,9 +39,18 @@ class BitVector {
   void FillZero();
   void FillOne();
 
-  // Shift the whole vector right by one (bit 1 -> bit 0, ...), inserting
-  // `top` as the new highest bit, and return the old bit 0. This is the
-  // TAP controller's shift-register step; word-level, O(size/64).
+  // Shift `count` bits through the vector, as `count` one-bit
+  // shift-register steps would: each step moves every bit down one place,
+  // the old bit 0 leaves, and the next bit of `*in` (bit 0 first; zeros
+  // when `in` is null) enters as the new top bit. The bits that left go
+  // to `*out`, resized to `count`, first one at bit 0, unless `out` is
+  // null. `in` holds `count` bits; `in`, `out` and this vector are three
+  // distinct objects. Word-level:
+  // O((size + count) / 64), not O(size * count). This is the TAP
+  // controller's Shift-DR pass (sim/tap.h).
+  void ShiftThrough(std::size_t count, const BitVector* in, BitVector* out);
+  // The one-bit case: insert `top` as the new highest bit and return the
+  // old bit 0.
   bool ShiftRightInsertTop(bool top);
 
   // '0'/'1' string, bit 0 first; and the inverse parse ("0110...").
@@ -59,6 +68,10 @@ class BitVector {
 
  private:
   void MaskTail();  // zero the unused bits of the last word
+  // The one shift path, on words: `in` and `out` hold WordCount(count)
+  // words each, or are null (zeros enter; what leaves is discarded).
+  void ShiftThrough(const std::uint64_t* in, std::size_t count,
+                    std::uint64_t* out);
 
   std::size_t bit_count_ = 0;
   std::vector<std::uint64_t> words_;

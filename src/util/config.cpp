@@ -39,12 +39,6 @@ Result<std::int64_t> ConfigSection::GetInt(const std::string& key) const {
   return *parsed;
 }
 
-std::int64_t ConfigSection::GetIntOr(const std::string& key,
-                                     std::int64_t fallback) const {
-  const auto v = GetInt(key);
-  return v.ok() ? *v : fallback;
-}
-
 Result<double> ConfigSection::GetDouble(const std::string& key) const {
   const auto raw = GetString(key);
   if (!raw) return NotFoundError("missing key '" + key + "'");
@@ -53,12 +47,6 @@ Result<double> ConfigSection::GetDouble(const std::string& key) const {
     return ParseError("key '" + key + "': not a number: '" + *raw + "'");
   }
   return *parsed;
-}
-
-double ConfigSection::GetDoubleOr(const std::string& key,
-                                  double fallback) const {
-  const auto v = GetDouble(key);
-  return v.ok() ? *v : fallback;
 }
 
 Result<bool> ConfigSection::GetBool(const std::string& key) const {

@@ -31,15 +31,14 @@ class ConfigSection {
 
   bool Has(const std::string& key) const;
 
-  // Scalar lookups. GetX return nullopt when the key is absent; the *Or
-  // variants substitute a default. A present key that fails to parse as
-  // the requested type is reported through the Result overloads below.
+  // Scalar lookups. GetString returns nullopt when the key is absent,
+  // GetStringOr substitutes a default. The typed lookups are NotFound
+  // for an absent key and ParseError for a value of another type; there
+  // is no silent fallback for a malformed number.
   std::optional<std::string> GetString(const std::string& key) const;
   std::string GetStringOr(const std::string& key, std::string fallback) const;
   Result<std::int64_t> GetInt(const std::string& key) const;
-  std::int64_t GetIntOr(const std::string& key, std::int64_t fallback) const;
   Result<double> GetDouble(const std::string& key) const;
-  double GetDoubleOr(const std::string& key, double fallback) const;
   Result<bool> GetBool(const std::string& key) const;  // true/false/1/0/yes/no
 
   // All values appended with `key[] =`, plus the scalar value if present.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -242,6 +243,37 @@ TEST(LintSpecTest, ReportsSpecLevelProblemsWithLines) {
   ASSERT_NE(unknown, nullptr);
   EXPECT_EQ(unknown->severity, Severity::kWarning);
   EXPECT_EQ(unknown->line, 7);
+}
+
+TEST(LintSpecTest, MalformedNumbersAreBadValuesAtTheirLines) {
+  WriteTempFile("lint_numbers.s", ".entry start\nstart:\n  halt\n");
+  const std::string path = WriteTempFile(
+      "lint_numbers.workload",
+      "[workload]\n"                   // line 1
+      "name = demo\n"                  // line 2
+      "assembly_file = lint_numbers.s\n"
+      "max_instructions = 5000\n"      // line 4: overridden below
+      "max_instructions = 3x\n"        // line 5
+      "max_iterations = -1\n"          // line 6
+      "output_base = 0x100000000\n"    // line 7: past 32 bits
+      "output_length = 16\n");
+  const auto diagnostics = LintWorkloadSpecFile(path);
+  std::vector<std::pair<int, std::string>> bad;
+  for (const LintDiagnostic& diagnostic : diagnostics) {
+    if (diagnostic.check != "bad-value") continue;
+    EXPECT_EQ(diagnostic.severity, Severity::kError);
+    bad.emplace_back(diagnostic.line, diagnostic.message);
+  }
+  std::sort(bad.begin(), bad.end());
+  ASSERT_EQ(bad.size(), 3u);
+  EXPECT_EQ(bad[0].first, 5);
+  EXPECT_NE(bad[0].second.find("max_instructions"), std::string::npos);
+  EXPECT_EQ(bad[1].first, 6);
+  EXPECT_NE(bad[1].second.find("max_iterations"), std::string::npos);
+  EXPECT_EQ(bad[2].first, 7);
+  EXPECT_NE(bad[2].second.find("output_base"), std::string::npos);
+  // No region check on a base that did not parse.
+  EXPECT_EQ(Find(diagnostics, "output-range"), nullptr);
 }
 
 TEST(LintSpecTest, MissingNameAndAssemblyFileAreErrors) {

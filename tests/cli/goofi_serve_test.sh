@@ -29,6 +29,23 @@ await_daemon() {
   done
 }
 
+# Wait until the submission with id $1 has started: running, or already
+# completed (a short campaign can finish between two polls, so "running"
+# is not a state every run shows).
+await_started() {
+  i=0
+  while true; do
+    STATE=$("$SUBMIT" --socket "$SOCK" status "$1" | awk '{print $3}')
+    case "$STATE" in
+      running|completed) return 0;;
+      failed|cancelled) fail "submission $1 is $STATE, wanted it started";;
+    esac
+    i=$((i + 1))
+    test "$i" -lt 1200 || fail "submission $1 stuck in $STATE, never started"
+    sleep 0.1
+  done
+}
+
 # Wait until the submission with id $1 reaches journal state $2.
 await_state() {
   i=0
@@ -78,6 +95,18 @@ for BAD in "fleet_workers = four" "queue_limit = -1" "max_campaign_jobs = -1"; d
     || fail "'$BAD' must be rejected naming the key: $(cat bad_serve.log)"
   test ! -e "$WORK/bad_root" || fail "'$BAD' must be rejected before start"
 done
+# The count flags take the same rule, so "-1" cannot wrap to a huge fleet
+# and "four" cannot become 0.
+for BAD in "--fleet four" "--fleet -1" "--queue 0" "--max-jobs 3x"; do
+  # $BAD is unquoted on purpose: it is a flag and its value.
+  if timeout 10 "$SERVE" --root "$WORK/bad_root" $BAD > bad_serve.log 2>&1
+  then
+    fail "'$BAD' must be rejected"
+  fi
+  grep -q "INVALID_ARGUMENT: ${BAD%% *} must be" bad_serve.log \
+    || fail "'$BAD' must be rejected naming the flag: $(cat bad_serve.log)"
+  test ! -e "$WORK/bad_root" || fail "'$BAD' must be rejected before start"
+done
 
 # --- reference: one-shot goofi_tool runs of the same inis ---------------
 "$TOOL" run alpha.ini --db ref_alpha > /dev/null 2>&1 || fail "ref alpha"
@@ -100,10 +129,11 @@ if "$SUBMIT" --socket "$SOCK" submit alpha.ini > dup.out 2>&1; then
 fi
 grep -q ALREADY_EXISTS dup.out || fail "duplicate must say ALREADY_EXISTS"
 
-await_state 1 running
-await_state 2 running
+await_started 1
+await_started 2
 # SIGKILL: no drain, no cleanup. The journal and the campaigns' WAL
-# checkpoints are all that survives.
+# checkpoints are all that survives. Mid-run or already done, each
+# campaign must end with the one-shot bytes after the restart.
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
@@ -152,12 +182,14 @@ grep -q ALREADY_EXISTS second.log || fail "second daemon must say ALREADY_EXISTS
 "$SUBMIT" --socket "$SOCK" ping | grep -q pong || fail "ping after second daemon"
 
 # --- watch exit code: cancelled/failed is not success --------------------
+# Ten million experiments: once running, delta cannot finish before the
+# cancel lands, at any plausible simulator speed.
 cat > delta.ini <<'EOF'
 [campaign]
 name = delta
 workload = fib
 technique = scifi
-experiments = 4000
+experiments = 10000000
 seed = 3
 location[] = cpu.regs.*
 EOF
@@ -188,6 +220,13 @@ if "$SUBMIT" --socket "$SOCK" ping > /dev/null 2>&1; then
 fi
 
 # --- one-shot goofi_tool drains on SIGINT with exit code 3 ---------------
+# The signal must land while the run is provably in flight, whatever the
+# simulator speed. A scripted link hang wedges the first attempt of
+# experiment 100 for 3 s, below the campaign's watchdog deadline, so the
+# attempt fails and is retried without abandoning a thread. The progress
+# line [100/4000] is printed after the drain handler is installed and
+# right before that attempt: once it is out, the run has started and
+# cannot finish for 3 s.
 cat > gamma.ini <<'EOF'
 [campaign]
 name = gamma
@@ -196,10 +235,18 @@ technique = scifi
 experiments = 4000
 seed = 5
 location[] = cpu.regs.*
+experiment_timeout_ms = 60000
 EOF
-"$TOOL" run gamma.ini --db gamma_db > gamma.out 2>&1 &
+"$TOOL" run gamma.ini --db gamma_db --flaky "hang@100;hang_ms=3000" \
+  > gamma.out 2>&1 &
 TOOL_PID=$!
-sleep 1
+i=0
+until grep -q '\[100/4000\]' gamma.out; do
+  kill -0 "$TOOL_PID" 2>/dev/null || fail "goofi_tool ended before [100/4000]"
+  i=$((i + 1))
+  test "$i" -lt 1200 || fail "goofi_tool never reached [100/4000]"
+  sleep 0.05
+done
 kill -INT "$TOOL_PID"
 wait "$TOOL_PID" && RC=0 || RC=$?
 test "$RC" -eq 3 || fail "interrupted goofi_tool must exit 3, got $RC"

@@ -112,5 +112,51 @@ TEST_F(WorkloadFileFixture, MissingPiecesAreDiagnosed) {
   EXPECT_FALSE(LoadWorkloadSpecFromFile(dangling).ok());
 }
 
+TEST_F(WorkloadFileFixture, MalformedNumbersAreInvalidArgumentsNamingTheKey) {
+  WriteFile("tiny.s", "halt\n");
+  struct Case {
+    const char* key;
+    const char* value;
+  };
+  // Before typed reads, "3x" became 0, "-1" wrapped to 2^64-1 and a base
+  // past 32 bits was silently truncated.
+  for (const Case& c : {Case{"max_instructions", "3x"},
+                        Case{"max_instructions", "-1"},
+                        Case{"max_iterations", "ten"},
+                        Case{"max_iterations", "-5"},
+                        Case{"output_base", "0x1_0000"},
+                        Case{"output_base", "0x100000000"},
+                        Case{"output_length", "-4"},
+                        Case{"output_length", "4294967296"}}) {
+    const std::string path = WriteFile(
+        "bad_number.workload", std::string("[workload]\nname = x\n") +
+                                   "assembly_file = tiny.s\n" + c.key +
+                                   " = " + c.value + "\n");
+    const auto spec = LoadWorkloadSpecFromFile(path);
+    ASSERT_FALSE(spec.ok()) << c.key << " = " << c.value;
+    EXPECT_EQ(spec.status().code(), ErrorCode::kInvalidArgument)
+        << spec.status().ToString();
+    EXPECT_NE(spec.status().message().find(c.key), std::string::npos)
+        << spec.status().ToString();
+  }
+}
+
+TEST_F(WorkloadFileFixture, NumbersAtTheirRangeLimitsLoad) {
+  WriteFile("tiny.s", "halt\n");
+  const std::string path =
+      WriteFile("limits.workload",
+                "[workload]\nname = x\nassembly_file = tiny.s\n"
+                "output_base = 0xffffffff\n"
+                "output_length = 4294967295\n"
+                "max_instructions = 18446744073709551615\n"
+                "max_iterations = 0\n");
+  const auto spec = LoadWorkloadSpecFromFile(path);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec->output_base, 0xffffffffu);
+  EXPECT_EQ(spec->output_length, 0xffffffffu);
+  EXPECT_EQ(spec->termination.max_instructions, ~std::uint64_t{0});
+  EXPECT_EQ(spec->termination.max_iterations, 0u);
+}
+
 }  // namespace
 }  // namespace goofi::target

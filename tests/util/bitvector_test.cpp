@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+
 #include "util/rng.h"
 
 namespace goofi {
@@ -111,6 +114,41 @@ TEST(BitVectorTest, ShiftAcrossWordBoundary) {
     w.Set(6, out);  // feed back
   }
   EXPECT_TRUE(w == original);
+}
+
+TEST(BitVectorTest, ShiftThroughMatchesOneBitSteps) {
+  // Every length class against a bit FIFO: fewer bits than the vector,
+  // exactly as many, more, word-aligned and not, zeros and null `out`.
+  Rng rng(5);
+  for (std::size_t size : {1u, 5u, 63u, 64u, 65u, 130u, 300u}) {
+    for (std::size_t count : {1u, 2u, 63u, 64u, 65u, 129u, 200u, 301u, 700u}) {
+      BitVector v(size);
+      std::deque<bool> fifo;
+      for (std::size_t i = 0; i < size; ++i) {
+        v.Set(i, rng.NextBool());
+        fifo.push_back(v.Get(i));
+      }
+      BitVector in(count);
+      for (std::size_t i = 0; i < count; ++i) in.Set(i, rng.NextBool());
+      const bool zeros = rng.NextBool(0.25);
+      std::string expected_out;
+      for (std::size_t i = 0; i < count; ++i) {
+        expected_out.push_back(fifo.front() ? '1' : '0');
+        fifo.pop_front();
+        fifo.push_back(!zeros && in.Get(i));
+      }
+      std::string expected_rest;
+      for (bool bit : fifo) expected_rest.push_back(bit ? '1' : '0');
+
+      BitVector out(3);  // resized by the call
+      BitVector discard_copy = v;
+      v.ShiftThrough(count, zeros ? nullptr : &in, &out);
+      discard_copy.ShiftThrough(count, zeros ? nullptr : &in, nullptr);
+      EXPECT_EQ(out.ToBitString(), expected_out) << size << "/" << count;
+      EXPECT_EQ(v.ToBitString(), expected_rest) << size << "/" << count;
+      EXPECT_TRUE(discard_copy == v) << size << "/" << count;
+    }
+  }
 }
 
 TEST(BitVectorTest, BitStringRoundTrip) {

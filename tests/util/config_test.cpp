@@ -55,10 +55,11 @@ TEST(ConfigTest, TypedGetters) {
   auto config = Config::Parse(kSample);
   ASSERT_TRUE(config.ok());
   const ConfigSection* campaign = config->FindSection("campaign");
-  EXPECT_EQ(campaign->GetIntOr("experiments", 0), 500);
-  EXPECT_DOUBLE_EQ(campaign->GetDoubleOr("ratio", 0), 0.25);
+  EXPECT_EQ(*campaign->GetInt("experiments"), 500);
+  EXPECT_DOUBLE_EQ(*campaign->GetDouble("ratio"), 0.25);
   EXPECT_TRUE(*campaign->GetBool("enabled"));
-  EXPECT_EQ(campaign->GetIntOr("missing", -7), -7);
+  EXPECT_EQ(campaign->GetInt("missing").status().code(),
+            ErrorCode::kNotFound);
   const auto bad = campaign->GetInt("name");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), ErrorCode::kParseError);
@@ -107,7 +108,7 @@ TEST(ConfigTest, SerializeRoundTrip) {
   const ConfigSection* campaign = reparsed->FindSection("campaign");
   ASSERT_NE(campaign, nullptr);
   EXPECT_EQ(campaign->GetList("location").size(), 2u);
-  EXPECT_EQ(reparsed->FindSection("env")->GetIntOr("gain", 0), 8);
+  EXPECT_EQ(*reparsed->FindSection("env")->GetInt("gain"), 8);
 }
 
 TEST(ConfigTest, LoadFileReportsMissing) {
