@@ -305,19 +305,17 @@ std::vector<LintDiagnostic> LintWorkloadSpecFile(const std::string& file) {
 
   // The loader's typed reads: each value it rejects is an error at the
   // line whose value counts (the last one assigning the key).
-  for (const char* key : target::kWorkloadNumberKeys) {
-    const auto value = target::WorkloadNumber(*section, key);
-    if (!value.ok()) {
-      Add(&out, Severity::kError, file, LineOfKey(text, key, /*last=*/true),
-          "bad-value", value.status().message());
-    }
+  const target::WorkloadNumbers numbers = target::ReadWorkloadNumbers(*section);
+  bool region_typed = true;
+  for (const target::WorkloadNumbers::Error& error : numbers.errors) {
+    Add(&out, Severity::kError, file, LineOfKey(text, error.key, /*last=*/true),
+        "bad-value", error.status.message());
+    region_typed = region_typed && error.key != "output_base" &&
+                   error.key != "output_length";
   }
-  const auto output_base = target::WorkloadNumber(*section, "output_base");
-  const auto output_length =
-      target::WorkloadNumber(*section, "output_length");
-  if (output_base.ok() && output_length.ok() && *output_length > 0) {
-    const auto base = static_cast<std::uint32_t>(*output_base);
-    const auto length = static_cast<std::uint32_t>(*output_length);
+  if (region_typed && numbers.output_length > 0) {
+    const auto base = static_cast<std::uint32_t>(numbers.output_base);
+    const auto length = static_cast<std::uint32_t>(numbers.output_length);
     const Segment* lo = SegmentOf(base);
     const Segment* hi = SegmentOf(base + length - 1);
     if (lo == nullptr || hi != lo) {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "util/strings.h"
 
@@ -455,26 +456,60 @@ Result<WorkloadSpec> GetBuiltinWorkload(const std::string& name) {
   return NotFoundError("no built-in workload named '" + name + "'");
 }
 
-Result<std::uint64_t> WorkloadNumber(const ConfigSection& section,
-                                     const std::string& key) {
+namespace {
+
+// One typed numeric key: an absent key reads 0, a leading '+' and "-0"
+// are integers, and a value above `max` is out of range.
+Result<std::uint64_t> ReadNumber(const ConfigSection& section,
+                                 const char* key, std::uint64_t max) {
   const std::optional<std::string> text = section.GetString(key);
   if (!text) return std::uint64_t{0};
-  const std::optional<std::uint64_t> value = ParseUint64(*text);
+  std::string_view digits = StripAsciiWhitespace(*text);
+  if (!digits.empty() && digits.front() == '+') digits.remove_prefix(1);
+  std::optional<std::uint64_t> value = ParseUint64(digits);
   if (!value) {
-    if (ParseInt64(*text)) {
-      return InvalidArgumentError(StrFormat("%s must be >= 0, got '%s'",
-                                            key.c_str(), text->c_str()));
+    const std::optional<std::int64_t> signed_value = ParseInt64(*text);
+    if (!signed_value) {
+      return InvalidArgumentError(StrFormat(
+          "%s must be an integer, got '%s'", key, text->c_str()));
     }
-    return InvalidArgumentError(StrFormat("%s must be an integer, got '%s'",
-                                          key.c_str(), text->c_str()));
+    if (*signed_value < 0) {
+      return InvalidArgumentError(
+          StrFormat("%s must be >= 0, got '%s'", key, text->c_str()));
+    }
+    value = static_cast<std::uint64_t>(*signed_value);
   }
-  const bool is_32_bit = key == "output_base" || key == "output_length";
-  if (is_32_bit && *value > std::numeric_limits<std::uint32_t>::max()) {
+  if (*value > max) {
     return InvalidArgumentError(
-        StrFormat("%s must fit 32 bits, got '%s'", key.c_str(),
-                  text->c_str()));
+        StrFormat("%s must be <= %llu, got '%s'", key,
+                  static_cast<unsigned long long>(max), text->c_str()));
   }
   return *value;
+}
+
+}  // namespace
+
+WorkloadNumbers ReadWorkloadNumbers(const ConfigSection& section) {
+  constexpr std::uint64_t k32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint64_t k64 = std::numeric_limits<std::uint64_t>::max();
+  WorkloadNumbers numbers;
+  const struct {
+    const char* key;
+    std::uint64_t max;
+    std::uint64_t* value;
+  } keys[] = {{"output_base", k32, &numbers.output_base},
+              {"output_length", k32, &numbers.output_length},
+              {"max_instructions", k64, &numbers.max_instructions},
+              {"max_iterations", k64, &numbers.max_iterations}};
+  for (const auto& key : keys) {
+    const Result<std::uint64_t> value = ReadNumber(section, key.key, key.max);
+    if (value.ok()) {
+      *key.value = *value;
+    } else {
+      numbers.errors.push_back({key.key, value.status()});
+    }
+  }
+  return numbers;
 }
 
 Result<WorkloadSpec> LoadWorkloadSpecFromFile(const std::string& path) {
@@ -506,17 +541,13 @@ Result<WorkloadSpec> LoadWorkloadSpecFromFile(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   spec.assembly = text.str();
-  ASSIGN_OR_RETURN(const std::uint64_t base,
-                   WorkloadNumber(*section, "output_base"));
-  ASSIGN_OR_RETURN(const std::uint64_t length,
-                   WorkloadNumber(*section, "output_length"));
-  spec.output_base = static_cast<std::uint32_t>(base);
-  spec.output_length = static_cast<std::uint32_t>(length);
+  const WorkloadNumbers numbers = ReadWorkloadNumbers(*section);
+  if (!numbers.errors.empty()) return numbers.errors.front().status;
+  spec.output_base = static_cast<std::uint32_t>(numbers.output_base);
+  spec.output_length = static_cast<std::uint32_t>(numbers.output_length);
   spec.environment = section->GetStringOr("environment", "");
-  ASSIGN_OR_RETURN(spec.termination.max_instructions,
-                   WorkloadNumber(*section, "max_instructions"));
-  ASSIGN_OR_RETURN(spec.termination.max_iterations,
-                   WorkloadNumber(*section, "max_iterations"));
+  spec.termination.max_instructions = numbers.max_instructions;
+  spec.termination.max_iterations = numbers.max_iterations;
   return spec;
 }
 

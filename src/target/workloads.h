@@ -54,12 +54,21 @@ Result<WorkloadSpec> LoadWorkloadSpecFromFile(const std::string& path);
 // The numeric keys of a `.workload` file's [workload] section, typed:
 // output_base and output_length fit 32 bits (an address and a byte
 // count on the 32-bit target); max_instructions and max_iterations are
-// any non-negative 64-bit count. Reads 0 when the key is absent, and is
-// InvalidArgument naming the key when its value is not such an integer.
-// The loader and goofi-lint both read these keys through it.
-inline constexpr const char* kWorkloadNumberKeys[] = {
-    "output_base", "output_length", "max_instructions", "max_iterations"};
-Result<std::uint64_t> WorkloadNumber(const ConfigSection& section,
-                                     const std::string& key);
+// any non-negative 64-bit count. An absent key reads 0. Each value that
+// is not such an integer reads 0 and adds one InvalidArgument naming
+// its key to `errors`, in key order. The loader fails on the first;
+// goofi-lint reports each at its line.
+struct WorkloadNumbers {
+  struct Error {
+    std::string key;
+    Status status;
+  };
+  std::uint64_t output_base = 0;
+  std::uint64_t output_length = 0;
+  std::uint64_t max_instructions = 0;
+  std::uint64_t max_iterations = 0;
+  std::vector<Error> errors;
+};
+WorkloadNumbers ReadWorkloadNumbers(const ConfigSection& section);
 
 }  // namespace goofi::target

@@ -29,23 +29,6 @@ await_daemon() {
   done
 }
 
-# Wait until the submission with id $1 has started: running, or already
-# completed (a short campaign can finish between two polls, so "running"
-# is not a state every run shows).
-await_started() {
-  i=0
-  while true; do
-    STATE=$("$SUBMIT" --socket "$SOCK" status "$1" | awk '{print $3}')
-    case "$STATE" in
-      running|completed) return 0;;
-      failed|cancelled) fail "submission $1 is $STATE, wanted it started";;
-    esac
-    i=$((i + 1))
-    test "$i" -lt 1200 || fail "submission $1 stuck in $STATE, never started"
-    sleep 0.1
-  done
-}
-
 # Wait until the submission with id $1 reaches journal state $2.
 await_state() {
   i=0
@@ -61,14 +44,15 @@ await_state() {
   done
 }
 
-# Two campaigns, sized for a couple of cadence commits each, one serial
-# and one sharded (the daemon multiplexes both over its fleet).
+# Two campaigns, one serial and one sharded (the daemon multiplexes both
+# over its fleet), each sized to run for seconds so that the kill -9
+# below lands mid-run; the step asserts that it did.
 cat > alpha.ini <<'EOF'
 [campaign]
 name = alpha
 workload = fib
 technique = scifi
-experiments = 70
+experiments = 12000
 seed = 9
 location[] = cpu.regs.*
 EOF
@@ -77,7 +61,7 @@ cat > beta.ini <<'EOF'
 name = beta
 workload = isort
 technique = scifi
-experiments = 70
+experiments = 12000
 seed = 23
 location[] = cpu.regs.*
 jobs = 2
@@ -129,14 +113,22 @@ if "$SUBMIT" --socket "$SOCK" submit alpha.ini > dup.out 2>&1; then
 fi
 grep -q ALREADY_EXISTS dup.out || fail "duplicate must say ALREADY_EXISTS"
 
-await_started 1
-await_started 2
+await_state 1 running
+await_state 2 running
 # SIGKILL: no drain, no cleanup. The journal and the campaigns' WAL
-# checkpoints are all that survives. Mid-run or already done, each
-# campaign must end with the one-shot bytes after the restart.
+# checkpoints are all that survives.
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
+# Both campaigns were in flight when the daemon died: the journal, the
+# restart's only record of them, still holds each as running, so life 2
+# must resume both. (Campaigns that had already completed would turn the
+# restart into a plain reload, and this step would prove nothing.)
+"$TOOL" sql "SELECT name FROM SubmissionQueue WHERE state = 'running'" \
+  --db "$ROOT/journal" > inflight.out 2>&1 \
+  || fail "journal unreadable after kill -9: $(cat inflight.out)"
+grep -q "'alpha'" inflight.out && grep -q "'beta'" inflight.out \
+  || fail "kill -9 must land with both campaigns running: $(cat inflight.out)"
 
 # --- life 2: restart resumes both in-flight campaigns --------------------
 # This life boots from a [service] deployment ini (the same format
@@ -165,7 +157,8 @@ cmp -s "$ROOT/campaigns/alpha/wal.log" ref_alpha/wal.log \
 cmp -s "$ROOT/campaigns/beta/wal.log" ref_beta/wal.log \
   || fail "beta database differs from one-shot goofi_tool run"
 # And readable by the ordinary toolchain.
-"$TOOL" analyze alpha --db "$ROOT/campaigns/alpha" | grep -q "70 experiments" \
+"$TOOL" analyze alpha --db "$ROOT/campaigns/alpha" \
+  | grep -q "12000 experiments" \
   || fail "daemon database must analyze like any other"
 
 # --- backpressure: a full queue is an explicit error ---------------------

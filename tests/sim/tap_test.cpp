@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <iterator>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/snapshot.h"
@@ -64,6 +66,37 @@ TEST_F(TapTest, StateWalkMatchesIeee1149) {
   EXPECT_EQ(tap_->state(), TapState::kUpdateDr);
   tap_->Clock(false, false);
   EXPECT_EQ(tap_->state(), TapState::kRunTestIdle);
+
+  // The rest of the 32 edges, the IR side included: each {TMS, state
+  // reached} continues the walk from Run-Test/Idle.
+  using S = TapState;
+  const std::pair<bool, TapState> walk[] = {
+      {false, S::kRunTestIdle},   {true, S::kSelectDrScan},
+      {true, S::kSelectIrScan},   {false, S::kCaptureIr},
+      {false, S::kShiftIr},       {false, S::kShiftIr},
+      {true, S::kExit1Ir},        {false, S::kPauseIr},
+      {false, S::kPauseIr},       {true, S::kExit2Ir},
+      {false, S::kShiftIr},       {true, S::kExit1Ir},
+      {true, S::kUpdateIr},       {true, S::kSelectDrScan},
+      {true, S::kSelectIrScan},   {false, S::kCaptureIr},
+      {true, S::kExit1Ir},        {false, S::kPauseIr},
+      {true, S::kExit2Ir},        {true, S::kUpdateIr},
+      {false, S::kRunTestIdle},   {true, S::kSelectDrScan},
+      {false, S::kCaptureDr},     {false, S::kShiftDr},
+      {false, S::kShiftDr},       {true, S::kExit1Dr},
+      {false, S::kPauseDr},       {false, S::kPauseDr},
+      {true, S::kExit2Dr},        {true, S::kUpdateDr},
+      {true, S::kSelectDrScan},   {true, S::kSelectIrScan},
+      {true, S::kTestLogicReset}, {true, S::kTestLogicReset},
+      {false, S::kRunTestIdle},
+  };
+  for (std::size_t step = 0; step < std::size(walk); ++step) {
+    const TapState from = tap_->state();
+    tap_->Clock(walk[step].first, false);
+    EXPECT_EQ(tap_->state(), walk[step].second)
+        << "step " << step << ": " << TapStateName(from) << " with TMS "
+        << walk[step].first;
+  }
 }
 
 TEST_F(TapTest, IdcodeReadsDeviceId) {
@@ -209,29 +242,41 @@ class ReferenceTap {
   }
 
  private:
+  // IEEE 1149.1 Figure 6-1, one state at a time (deliberately not the
+  // production controller's table form).
   static TapState Next(TapState s, bool tms) {
     using S = TapState;
-    // {TMS = 0, TMS = 1} successors, in TapState order (IEEE 1149.1
-    // Figure 6-1).
-    static constexpr TapState kNext[16][2] = {
-        {S::kRunTestIdle, S::kTestLogicReset},  // Test-Logic-Reset
-        {S::kRunTestIdle, S::kSelectDrScan},    // Run-Test/Idle
-        {S::kCaptureDr, S::kSelectIrScan},      // Select-DR-Scan
-        {S::kShiftDr, S::kExit1Dr},             // Capture-DR
-        {S::kShiftDr, S::kExit1Dr},             // Shift-DR
-        {S::kPauseDr, S::kUpdateDr},            // Exit1-DR
-        {S::kPauseDr, S::kExit2Dr},             // Pause-DR
-        {S::kShiftDr, S::kUpdateDr},            // Exit2-DR
-        {S::kRunTestIdle, S::kSelectDrScan},    // Update-DR
-        {S::kCaptureIr, S::kTestLogicReset},    // Select-IR-Scan
-        {S::kShiftIr, S::kExit1Ir},             // Capture-IR
-        {S::kShiftIr, S::kExit1Ir},             // Shift-IR
-        {S::kPauseIr, S::kUpdateIr},            // Exit1-IR
-        {S::kPauseIr, S::kExit2Ir},             // Pause-IR
-        {S::kShiftIr, S::kUpdateIr},            // Exit2-IR
-        {S::kRunTestIdle, S::kSelectDrScan},    // Update-IR
-    };
-    return kNext[static_cast<int>(s)][tms ? 1 : 0];
+    switch (s) {
+      case S::kTestLogicReset:
+        return tms ? S::kTestLogicReset : S::kRunTestIdle;
+      case S::kRunTestIdle:
+      case S::kUpdateDr:
+      case S::kUpdateIr:
+        return tms ? S::kSelectDrScan : S::kRunTestIdle;
+      case S::kSelectDrScan:
+        return tms ? S::kSelectIrScan : S::kCaptureDr;
+      case S::kSelectIrScan:
+        return tms ? S::kTestLogicReset : S::kCaptureIr;
+      case S::kCaptureDr:
+      case S::kShiftDr:
+        return tms ? S::kExit1Dr : S::kShiftDr;
+      case S::kCaptureIr:
+      case S::kShiftIr:
+        return tms ? S::kExit1Ir : S::kShiftIr;
+      case S::kExit1Dr:
+        return tms ? S::kUpdateDr : S::kPauseDr;
+      case S::kExit1Ir:
+        return tms ? S::kUpdateIr : S::kPauseIr;
+      case S::kPauseDr:
+        return tms ? S::kExit2Dr : S::kPauseDr;
+      case S::kPauseIr:
+        return tms ? S::kExit2Ir : S::kPauseIr;
+      case S::kExit2Dr:
+        return tms ? S::kUpdateDr : S::kShiftDr;
+      case S::kExit2Ir:
+        return tms ? S::kUpdateIr : S::kShiftIr;
+    }
+    return S::kTestLogicReset;
   }
 
   const ScanChain* SelectedChain() const {

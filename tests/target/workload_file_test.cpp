@@ -156,6 +156,21 @@ TEST_F(WorkloadFileFixture, NumbersAtTheirRangeLimitsLoad) {
   EXPECT_EQ(spec->output_length, 0xffffffffu);
   EXPECT_EQ(spec->termination.max_instructions, ~std::uint64_t{0});
   EXPECT_EQ(spec->termination.max_iterations, 0u);
+
+  // A leading '+' and "-0" are integers, as the untyped reader took them.
+  const std::string signs =
+      WriteFile("signs.workload",
+                "[workload]\nname = x\nassembly_file = tiny.s\n"
+                "output_base = +16\n"
+                "output_length = -0\n"
+                "max_instructions = +5000\n"
+                "max_iterations = +18446744073709551615\n");
+  const auto signed_spec = LoadWorkloadSpecFromFile(signs);
+  ASSERT_TRUE(signed_spec.ok()) << signed_spec.status().ToString();
+  EXPECT_EQ(signed_spec->output_base, 16u);
+  EXPECT_EQ(signed_spec->output_length, 0u);
+  EXPECT_EQ(signed_spec->termination.max_instructions, 5000u);
+  EXPECT_EQ(signed_spec->termination.max_iterations, ~std::uint64_t{0});
 }
 
 }  // namespace
