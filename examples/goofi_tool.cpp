@@ -25,6 +25,7 @@
 #include "core/goofi.h"
 #include "db/wal.h"
 #include "target/flaky_target.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -51,7 +52,7 @@ struct Arguments {
   std::string command;
   std::vector<std::string> positional;
   std::string db_dir = "goofi_db";
-  std::size_t jobs = 0;  // 0 = take the campaign's `jobs` key (default 1)
+  std::optional<std::string> jobs;  // unset: the campaign's `jobs` key
   // Scripted target faults (target/flaky_target.h), e.g.
   // "io@3;hang@5;target_fault@7:2;hang_ms=200" — exercises the
   // supervision layer against a deterministic flaky transport.
@@ -71,7 +72,7 @@ Arguments ParseArguments(int argc, char** argv) {
     if (std::strcmp(argv[i], "--db") == 0 && i + 1 < argc) {
       arguments.db_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      arguments.jobs = static_cast<std::size_t>(std::atol(argv[++i]));
+      arguments.jobs = argv[++i];
     } else if (std::strcmp(argv[i], "--flaky") == 0 && i + 1 < argc) {
       arguments.flaky = argv[++i];
     } else if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
@@ -125,6 +126,12 @@ int CmdRun(const Arguments& arguments, bool resume) {
   }
   if (arguments.bad_checkpoint) {
     return Fail(InvalidArgumentError("--checkpoint takes 'on' or 'off'"));
+  }
+  std::optional<std::size_t> jobs;
+  if (arguments.jobs) {
+    auto parsed = core::ParseServiceCount("--jobs", *arguments.jobs);
+    if (!parsed.ok()) return Fail(parsed.status());
+    jobs = *parsed;
   }
   // A bad ini is rejected before the database is opened, so it never
   // leaves a CampaignData row behind.
@@ -191,10 +198,9 @@ int CmdRun(const Arguments& arguments, bool resume) {
 
   // --jobs beats the campaign's `jobs` key; either way the database is
   // bit-identical to a one-worker run.
-  const std::size_t jobs = arguments.jobs != 0 ? arguments.jobs : ini_jobs;
   std::signal(SIGINT, HandleDrainSignal);
   std::signal(SIGTERM, HandleDrainSignal);
-  core::CampaignRunner runner(&database, factory, jobs);
+  core::CampaignRunner runner(&database, factory, jobs.value_or(ini_jobs));
   runner.set_controller(&g_run_controller);
   runner.set_progress_callback(print_progress);
   runner.set_checkpoint_fork(arguments.checkpoint);
@@ -348,15 +354,17 @@ int CmdEquivCheck(const Arguments& arguments) {
                  "[--db DIR]\n");
     return 1;
   }
+  const std::optional<std::uint64_t> max_classes =  // 0 = every class
+      arguments.positional.size() > 1 ? ParseUint64(arguments.positional[1])
+                                      : 0;
+  if (!max_classes) {
+    return Fail(InvalidArgumentError("max_classes must be an integer >= 0, "
+                                     "got '" + arguments.positional[1] + "'"));
+  }
   auto database = db::Database::Open(arguments.db_dir);
   if (!database.ok()) return Fail(database.status());
-  const std::size_t max_classes =
-      arguments.positional.size() > 1
-          ? static_cast<std::size_t>(std::atol(
-                arguments.positional[1].c_str()))
-          : 0;
   auto audit = core::CrossCheckEquivalenceCampaign(
-      *database, arguments.positional[0], max_classes);
+      *database, arguments.positional[0], *max_classes);
   if (!audit.ok()) return Fail(audit.status());
   std::printf("equivalence crosscheck: %zu classes checked, %zu member "
               "injections re-run (%llu fault points), all "

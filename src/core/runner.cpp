@@ -1,6 +1,7 @@
 #include "core/runner.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -206,8 +207,9 @@ Result<PreparedCampaign> PrepareCampaignRun(
   // Resuming a campaign that already ran to completion (e.g. a daemon
   // killed between the final results commit and its own bookkeeping)
   // must append zero bytes: skip the "running" reset, let the run loop
-  // skip every logged experiment, and the final status write elides as
-  // a no-op. Any other stored status resets to "running" as usual.
+  // start after the last planned experiment, and the final status write
+  // elides as a no-op. Any other stored status resets to "running" as
+  // usual.
   bool already_completed = false;
   if (resume) {
     ASSIGN_OR_RETURN(const std::string status,
@@ -440,7 +442,6 @@ namespace {
 
 // One plan index's outcome, handed from an executor to the writer.
 struct ExperimentResult {
-  bool skipped = false;  // resume: already logged, nothing was run
   target::ExperimentSpec spec;
   // Valid only when disposition.completed().
   target::Observation observation;
@@ -462,7 +463,6 @@ struct ExecutionContext {
   ExperimentPlan plan;
   SupervisionPolicy policy;
   target::TargetFactory factory;  // empty: the borrowed target is reused
-  std::vector<char> already_logged;  // resume: indexed by plan index
 };
 
 // Runs plan indices on one TargetSlot. An empty slot is filled from
@@ -479,12 +479,6 @@ class ExperimentExecutor {
   // and surface as the result's disposition instead.
   Result<ExperimentResult> Execute(std::size_t index) {
     ExperimentResult result;
-    if (context_.already_logged[index]) {
-      // Per-experiment RNG streams keep the rest of the plan identical
-      // to an uninterrupted run without replaying this one's draws.
-      result.skipped = true;
-      return result;
-    }
     const ExperimentPlan& plan = context_.plan;
     ASSIGN_OR_RETURN(result.spec,
                      SampleExperimentSpec(plan, index, &result.resamples));
@@ -539,32 +533,31 @@ class ExperimentExecutor {
   CheckpointCache fork_cache_;
 };
 
-// Logs results in canonical plan order and owns the run's accounting:
+// Logs results in canonical plan order, starting after the `first`
+// experiments an earlier run logged, and owns the run's accounting:
 // summary totals, progress snapshots, the commit cadence and the final
 // campaign status.
 class CampaignWriter {
  public:
   CampaignWriter(db::Database& database, CampaignSummary summary,
-                 std::size_t total, const ProgressCallback& progress,
+                 std::size_t first, std::size_t total,
+                 const ProgressCallback& progress,
                  const std::string& checkpoint_directory,
                  std::size_t checkpoint_every)
       : database_(database),
         summary_(std::move(summary)),
+        first_(first),
         total_(total),
         progress_(progress),
         checkpoint_directory_(checkpoint_directory),
         checkpoint_every_(checkpoint_every) {
+    info_.experiments_done = first;
     info_.experiments_total = total;
   }
 
   // Log the next plan index's result. An error leaves every earlier
   // row logged and ends the run.
   Status Write(const ExperimentResult& result) {
-    if (result.skipped) {
-      ++skipped_;
-      ++info_.experiments_done;
-      return Status::Ok();
-    }
     const std::string& campaign = summary_.campaign_name;
     const bool completed = result.disposition.completed();
     RETURN_IF_ERROR(LogExperimentObservation(
@@ -587,7 +580,7 @@ class CampaignWriter {
     summary_.instructions_skipped += result.instructions_skipped;
     summary_.trigger_instructions_total += result.trigger_instructions;
 
-    info_.experiments_done = skipped_ + summary_.experiments_run;
+    info_.experiments_done = first_ + summary_.experiments_run;
     info_.experiment_retries = summary_.experiment_retries;
     info_.experiments_abandoned = summary_.experiments_abandoned;
     info_.targets_quarantined = summary_.targets_quarantined;
@@ -606,13 +599,13 @@ class CampaignWriter {
   }
 
   // Emit the current progress snapshot (a value copy) again; the pause
-  // loops call this so a paused campaign still reports.
+  // loop calls this so a paused campaign still reports.
   void Heartbeat() const {
     if (progress_) progress_(info_);
   }
 
   Result<CampaignSummary> Finish(const CampaignController* controller) {
-    const std::size_t done = skipped_ + summary_.experiments_run;
+    const std::size_t done = first_ + summary_.experiments_run;
     summary_.experiments_stopped_early = total_ - done;
     // A drain ends the run at its last cadence checkpoint: writing the
     // "stopped" row here (or committing the partial batch) would make
@@ -633,49 +626,25 @@ class CampaignWriter {
  private:
   db::Database& database_;
   CampaignSummary summary_;
+  const std::size_t first_;
   const std::size_t total_;
   const ProgressCallback& progress_;
   const std::string& checkpoint_directory_;
   const std::size_t checkpoint_every_;
-  std::size_t skipped_ = 0;
   ProgressInfo info_;
 };
 
-bool Paused(const CampaignController* controller) {
-  return controller != nullptr && controller->paused() &&
-         !controller->stopped();
-}
-
-bool Stopped(const CampaignController* controller) {
-  return controller != nullptr && controller->stopped();
-}
-
-// One worker: the executor runs on the calling thread right before each
-// writer step, so Fig. 7's pause and stop take effect exactly between
-// two experiments.
-Status RunInline(const ExecutionContext& context, TargetSlot slot,
-                 CampaignWriter& writer, CampaignController* controller) {
-  ExperimentExecutor executor(context, std::move(slot));
-  const std::size_t total = context.plan.config->num_experiments;
-  for (std::size_t i = 0; i < total; ++i) {
-    while (Paused(controller)) {
-      writer.Heartbeat();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    if (Stopped(controller)) break;
-    ASSIGN_OR_RETURN(const ExperimentResult result, executor.Execute(i));
-    RETURN_IF_ERROR(writer.Write(result));
-  }
-  return Status::Ok();
-}
-
-// N workers: each claims the next plan index, runs it on its own
-// minted target and parks the result in a reorder buffer; the calling
-// thread writes the buffer out in canonical order. Claims are strictly
-// in order and every claim produces a result, so a stop or an error
-// leaves a contiguous logged prefix, as a one-worker run would.
-Status RunFleet(const ExecutionContext& context, std::size_t workers,
-                CampaignWriter& writer, CampaignController* controller) {
+// The one driver, at every worker count: each worker claims the next
+// plan index from `first` on, runs it on its own target slot (worker 0
+// on `slot`, the others on lazily minted ones) and parks the result in
+// a reorder buffer; the calling thread writes the buffer out in
+// canonical order. The writer alone applies Fig. 7: it writes nothing
+// while paused, and a stop ends the run before the next row, dropping
+// results claimed past it. So the logged set is always a contiguous
+// prefix, ending exactly where a stop or a fatal error landed.
+Status RunFleet(const ExecutionContext& context, std::size_t first,
+                std::size_t workers, TargetSlot slot, CampaignWriter& writer,
+                CampaignController* controller) {
   // Keep the reorder buffer bounded: no claim may run more than
   // `window` indices ahead of the canonical cursor. The worker holding
   // the cursor's index has always claimed it already, so the cursor
@@ -684,34 +653,29 @@ Status RunFleet(const ExecutionContext& context, std::size_t workers,
   const std::size_t window =
       std::max<std::size_t>(64, kClaimWindowPerWorker * workers);
   const std::size_t total = context.plan.config->num_experiments;
+  CampaignController uncontrolled;
+  if (controller == nullptr) controller = &uncontrolled;
 
   std::mutex mutex;  // guards everything below
   std::condition_variable results_ready;  // the writer waits on this
   std::condition_variable claims_open;    // throttled workers wait on this
   std::map<std::size_t, Result<ExperimentResult>> results;
-  std::size_t next_to_claim = 0;
-  std::size_t next_to_log = 0;  // the canonical cursor
+  std::size_t next_to_claim = first;
+  std::size_t next_to_log = first;  // the canonical cursor
   std::size_t exited = 0;
-  bool abort = false;  // a fatal result or writer error: stop claiming
+  bool abort = false;  // a fatal result, or the writer is done
 
-  auto worker_main = [&] {
-    ExperimentExecutor executor(context, TargetSlot());
+  auto worker_main = [&](TargetSlot worker_slot) {
+    ExperimentExecutor executor(context, std::move(worker_slot));
     for (;;) {
-      // Fig. 7 pause applies fleet-wide: every worker blocks between
-      // experiments while the writer keeps emitting heartbeats.
-      while (Paused(controller)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
       std::size_t index;
       {
         std::unique_lock<std::mutex> lock(mutex);
-        // wait_for, so an external Stop() is noticed even though it
-        // cannot notify our condition variable.
-        while (!abort && next_to_claim < total && !Stopped(controller) &&
-               next_to_claim >= next_to_log + window) {
-          claims_open.wait_for(lock, std::chrono::milliseconds(5));
-        }
-        if (abort || next_to_claim >= total || Stopped(controller)) {
+        claims_open.wait(lock, [&] {
+          return abort || next_to_claim >= total ||
+                 next_to_claim < next_to_log + window;
+        });
+        if (abort || next_to_claim >= total) {
           ++exited;
           results_ready.notify_all();
           return;
@@ -721,7 +685,7 @@ Status RunFleet(const ExecutionContext& context, std::size_t workers,
       Result<ExperimentResult> result = executor.Execute(index);
       std::lock_guard<std::mutex> lock(mutex);
       // Indices below a fatal one are all claimed and still arrive, so
-      // the writer logs every row a one-worker run would have logged.
+      // the writer logs every row before the first failing index.
       abort = abort || !result.ok();
       results.emplace(index, std::move(result));
       results_ready.notify_all();
@@ -729,16 +693,19 @@ Status RunFleet(const ExecutionContext& context, std::size_t workers,
   };
   std::vector<std::thread> fleet;
   fleet.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) fleet.emplace_back(worker_main);
+  fleet.emplace_back(worker_main, std::move(slot));
+  for (std::size_t w = 1; w < workers; ++w) {
+    fleet.emplace_back(worker_main, TargetSlot());
+  }
 
   Status status = Status::Ok();
   {
     std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-      auto it = results.find(next_to_log);
-      if (it == results.end()) {
-        if (exited == workers) break;
-        if (Paused(controller)) {
+    while (!controller->stopped()) {
+      const auto it = results.find(next_to_log);
+      if (it == results.end() && exited == workers) break;
+      if (it == results.end() || controller->paused()) {
+        if (controller->paused()) {
           lock.unlock();
           writer.Heartbeat();
           lock.lock();
@@ -753,15 +720,42 @@ Status RunFleet(const ExecutionContext& context, std::size_t workers,
       lock.unlock();
       status = result.ok() ? writer.Write(*result) : result.status();
       lock.lock();
-      if (!status.ok()) {
-        abort = true;
-        claims_open.notify_all();
-        break;
-      }
+      if (!status.ok()) break;
     }
+    abort = true;
+    claims_open.notify_all();
   }
   for (std::thread& thread : fleet) thread.join();
   return status;
+}
+
+// Resume's starting point k: every run leaves the plan prefix [0, k)
+// logged, so k counts the campaign's "<campaign>/exp<digits>" rows and
+// is one past the largest index among them, or the rows were damaged.
+Result<std::size_t> LoggedPrefix(const db::Table& logged,
+                                 const CampaignConfig& config) {
+  const std::string prefix = config.name + "/exp";
+  std::size_t count = 0;
+  std::uint64_t largest = 0;
+  for (const Row& row : logged.rows()) {
+    const std::string& name = row[0].AsText();
+    if (!StartsWith(name, prefix)) continue;
+    const char* const end = name.data() + name.size();
+    std::uint64_t index = 0;
+    const auto [stop, error] =
+        std::from_chars(name.data() + prefix.size(), end, index);
+    if (error != std::errc() || stop != end) continue;  // e.g. a detail run
+    ++count;
+    largest = std::max(largest, index);
+  }
+  if (count > 0 && (largest + 1 != count || count > config.num_experiments)) {
+    return DataLossError(StrFormat(
+        "campaign '%s': its %zu logged experiments (largest index %llu) "
+        "are not a prefix of its %u-experiment plan",
+        config.name.c_str(), count, static_cast<unsigned long long>(largest),
+        config.num_experiments));
+  }
+  return count;
 }
 
 }  // namespace
@@ -793,38 +787,29 @@ Result<CampaignSummary> CampaignRunner::RunInternal(
                    PrepareCampaignRun(*database_, reference.get(),
                                       campaign_name, resume,
                                       checkpoint_override_));
+  ASSIGN_OR_RETURN(
+      const std::size_t first,
+      resume ? LoggedPrefix(*database_->FindTable(kLoggedSystemStateTable),
+                            prepared.config)
+             : Result<std::size_t>(0));
   const std::size_t total = prepared.config.num_experiments;
-  ExecutionContext context{
+  const ExecutionContext context{
       prepared.MakePlan(),
       ResolveSupervisionPolicy(prepared.config,
                                prepared.workload_termination),
-      target_factory_, std::vector<char>(total, 0)};
-  if (resume) {
-    // Canonical names decide what is already logged, no matter which
-    // worker (or how many) logged it before the interruption. Computed
-    // up front so executors never touch the database.
-    const db::Table* logged = database_->FindTable(kLoggedSystemStateTable);
-    for (std::size_t i = 0; i < total; ++i) {
-      context.already_logged[i] =
-          logged->FindByUnique(0, Value::Text_(ExperimentName(
-                                      campaign_name, i)))
-              .has_value();
-    }
-  }
-  CampaignWriter writer(*database_, std::move(prepared.summary), total,
-                        progress_, checkpoint_directory_, checkpoint_every_);
+      target_factory_};
+  CampaignWriter writer(*database_, std::move(prepared.summary), first,
+                        total, progress_, checkpoint_directory_,
+                        checkpoint_every_);
 
+  // The reference target runs experiments too, on the first worker,
+  // unless it is the caller's and a factory can mint an abandonable one
+  // instead.
+  if (!reference.abandonable() && target_factory_) reference = TargetSlot();
   const std::size_t workers =
-      std::max<std::size_t>(1, std::min<std::size_t>(jobs_, total));
-  if (workers > 1) {
-    RETURN_IF_ERROR(RunFleet(context, workers, writer, controller_));
-  } else {
-    // The reference target runs the experiments too, unless it is the
-    // caller's and a factory can mint an abandonable one instead.
-    if (!reference.abandonable() && target_factory_) reference = TargetSlot();
-    RETURN_IF_ERROR(
-        RunInline(context, std::move(reference), writer, controller_));
-  }
+      std::max<std::size_t>(1, std::min<std::size_t>(jobs_, total - first));
+  RETURN_IF_ERROR(RunFleet(context, first, workers, std::move(reference),
+                           writer, controller_));
   return writer.Finish(controller_);
 }
 

@@ -17,17 +17,18 @@
 // runner with N workers samples it out of order on worker threads yet
 // logs a database bit-identical to a one-worker run.
 //
-// There is one campaign loop. An experiment executor samples, runs and
-// supervises plan indices on its own target; a single writer logs the
-// results in canonical plan order and does all summary, progress and
-// commit accounting. The worker count (`jobs`) only decides how the two
-// are driven — inline on the calling thread, or by a worker fleet
-// feeding the writer through a bounded reorder buffer — so it is a pure
-// execution choice, invisible in the results database.
+// There is one campaign loop. Worker threads each run an experiment
+// executor that samples, runs and supervises plan indices on its own
+// target; a single writer on the calling thread logs their results in
+// canonical plan order and does all summary, progress and commit
+// accounting. The worker count (`jobs`) only sets how many workers
+// there are: a pure execution choice, invisible in the database.
 //
 // Progress reporting and pause/stop mirror the paper's progress window
 // ("getting information about the number of faults injected and also to
-// pause, restart or end the campaign").
+// pause, restart or end the campaign"). The writer applies them between
+// two logged rows, so the logged experiments are always a prefix of the
+// plan that ends exactly where a stop landed.
 #pragma once
 
 #include <atomic>
@@ -49,8 +50,8 @@
 namespace goofi::core {
 
 // Fig. 7's pause/restart/end controls, usable from another thread. One
-// controller may steer a one-worker run or a whole worker fleet: every
-// worker polls it between experiments.
+// controller steers a whole run at any worker count: the writer polls
+// it between two logged rows.
 class CampaignController {
  public:
   void Pause() { paused_ = true; }
@@ -186,7 +187,7 @@ struct ExperimentPlan {
 };
 
 // The canonical name of experiment `index`: "<campaign>/exp00042".
-// Resume() identifies already-logged experiments by this name,
+// Resume() counts a campaign's logged experiments by this name,
 // regardless of which worker (or how many) logged them.
 std::string ExperimentName(const std::string& campaign_name,
                            std::size_t index);
@@ -288,7 +289,7 @@ class CampaignRunner {
   // must name a built-in one (then the runner configures it). The
   // target makes the reference run and, unless set_target_factory()
   // gives the runner a way to mint abandonable instances, every
-  // experiment as well. Runs use one worker.
+  // experiment as well, from the run's one worker thread.
   CampaignRunner(db::Database* database,
                  target::TargetSystemInterface* target);
 
@@ -338,11 +339,11 @@ class CampaignRunner {
   // Run a stored campaign end to end (any technique).
   Result<CampaignSummary> Run(const std::string& campaign_name);
 
-  // Continue a previously stopped campaign: already-logged experiments
-  // are skipped (every experiment's spec regenerates independently from
-  // its (seed, index) stream), the remainder runs and logs as usual.
-  // The worker count may differ from the interrupted run's. Running
-  // campaigns to completion twice is a no-op.
+  // Continue a previously stopped campaign from the end k of its logged
+  // prefix [0, k) (every experiment's spec regenerates from its (seed,
+  // index) stream); logged rows that are not such a prefix fail
+  // DataLoss. Any worker count; resuming a completed campaign is a
+  // no-op.
   Result<CampaignSummary> Resume(const std::string& campaign_name);
 
   // Paper-named wrappers; each checks that the stored campaign uses the

@@ -92,4 +92,19 @@ grep -q "experiments" typed.out || fail "the error must name the key"
   || fail "the corrected ini must run on the same --db: $(cat fixed.out)"
 grep -q "25 experiments run" fixed.out || fail "corrected run"
 
+# --- bad counts on the command line are rejected before any database ----
+for JOBS in four -1 0 3x; do
+  if "$TOOL" run fixed.ini --db jobsdb --jobs "$JOBS" > jobs.out 2>&1; then
+    fail "--jobs $JOBS must be rejected"
+  fi
+  grep -q "INVALID_ARGUMENT.*--jobs" jobs.out \
+    || fail "the --jobs $JOBS error must name the flag: $(cat jobs.out)"
+  test ! -e jobsdb || fail "a rejected --jobs $JOBS must open no database"
+done
+if "$TOOL" equivcheck cli_demo 3x --db dbdir > equiv.out 2>&1; then
+  fail "a malformed max_classes must be rejected"
+fi
+grep -q "INVALID_ARGUMENT.*max_classes" equiv.out \
+  || fail "the error must name max_classes: $(cat equiv.out)"
+
 echo "goofi_tool CLI: all checks passed"

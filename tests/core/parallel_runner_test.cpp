@@ -10,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <optional>
 #include <set>
@@ -228,25 +228,81 @@ TEST_F(ParallelRunnerTest, SingleWorkerDegeneratesToSerial) {
   ASSERT_TRUE(runner.Run("eq_one").ok());
   EXPECT_EQ(DumpTable(parallel_db, kLoggedSystemStateTable),
             DumpTable(serial_db, kLoggedSystemStateTable));
+}
 
-  // One factory-fed worker stops exactly where a Stop() from the
-  // progress callback lands, like the borrowed-target runner: no
-  // experiment is claimed ahead of the writer.
-  for (const std::size_t stop_at : {1u, 4u, 9u}) {
-    db::Database stop_db;
-    SetUpDatabase(stop_db, config);
+// Fig. 7 at every worker count: a Stop() from the progress callback at
+// k logs exactly k experiments (plus the reference) and records the
+// campaign as stopped at k, and a Pause() there holds the table still
+// until Resume(). The writer ends or waits before the next row,
+// whatever the workers claimed ahead of it.
+TEST_F(ParallelRunnerTest, StopAndPauseAreExactAtEveryWorkerCount) {
+  const CampaignConfig config = MakeConfig("exact", 10);
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    for (const std::size_t stop_at : {1u, 4u, 9u}) {
+      const std::string label =
+          "jobs " + std::to_string(jobs) + ", stop at " +
+          std::to_string(stop_at);
+      db::Database database;
+      SetUpDatabase(database, config);
+      CampaignController controller;
+      CampaignRunner runner(&database, ThorFactory(), jobs);
+      runner.set_controller(&controller);
+      runner.set_progress_callback([&](ProgressInfo info) {
+        if (info.experiments_done == stop_at) controller.Stop();
+      });
+      auto stopped = runner.Run("exact");
+      ASSERT_TRUE(stopped.ok()) << label << ": "
+                                << stopped.status().ToString();
+      EXPECT_EQ(stopped->experiments_run, stop_at) << label;
+      EXPECT_EQ(stopped->experiments_stopped_early, 10u - stop_at) << label;
+      EXPECT_EQ(DumpTable(database, kLoggedSystemStateTable).size(),
+                1u + stop_at)  // the reference run + exactly stop_at
+          << label;
+      auto status = db::sql::ExecuteSql(
+          database,
+          "SELECT status, experiments_done FROM CampaignData WHERE "
+          "campaign_name = 'exact'");
+      ASSERT_TRUE(status.ok()) << label;
+      EXPECT_EQ(status->rows[0][0].AsText(), "stopped") << label;
+      EXPECT_EQ(status->rows[0][1].AsInteger(),
+                static_cast<std::int64_t>(stop_at))
+          << label;
+    }
+
+    constexpr std::size_t kPauseAt = 3;
+    db::Database database;
+    SetUpDatabase(database, config);
     CampaignController controller;
-    CampaignRunner stopper(&stop_db, ThorFactory(), 1);
-    stopper.set_controller(&controller);
-    stopper.set_progress_callback([&](ProgressInfo info) {
-      if (info.experiments_done == stop_at) controller.Stop();
+    CampaignRunner runner(&database, ThorFactory(), jobs);
+    runner.set_controller(&controller);
+    // The callback runs on the writer's thread, again on every heartbeat
+    // of the pause; only its first call at kPauseAt pauses.
+    bool pause_sent = false;
+    std::promise<void> paused;
+    runner.set_progress_callback([&](ProgressInfo info) {
+      if (info.experiments_done == kPauseAt && !pause_sent) {
+        pause_sent = true;
+        controller.Pause();
+        paused.set_value();
+      }
     });
-    auto stopped = stopper.Run("eq_one");
-    ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
-    EXPECT_EQ(stopped->experiments_run, stop_at);
-    EXPECT_EQ(stopped->experiments_stopped_early, 10u - stop_at);
-    EXPECT_EQ(DumpTable(stop_db, kLoggedSystemStateTable).size(),
-              1u + stop_at);  // the reference run + exactly stop_at
+    std::size_t rows_while_paused = 0;
+    std::thread checker([&] {
+      paused.get_future().wait();
+      // Long enough for the workers to finish what they claimed.
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      rows_while_paused =
+          database.FindTable(kLoggedSystemStateTable)->row_count();
+      controller.Resume();
+    });
+    auto summary = runner.Run("exact");
+    if (!pause_sent) paused.set_value();  // a failed run still ends
+    checker.join();
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_EQ(rows_while_paused, 1u + kPauseAt) << "jobs " << jobs;
+    EXPECT_EQ(summary->experiments_run, 10u) << "jobs " << jobs;
+    EXPECT_EQ(DumpTable(database, kLoggedSystemStateTable).size(), 11u)
+        << "jobs " << jobs;
   }
 }
 
@@ -341,11 +397,11 @@ TEST_F(ParallelRunnerTest, ProgressSnapshotsAreOrderedValueCopies) {
   }
 }
 
-// Satellite: concurrency stress. A control thread hammers
-// Pause()/Resume()/Stop() while the fleet runs; no experiment may be
-// logged twice, and a stop must leave a resumable state that a fleet
-// of a *different* size completes to the serial result. Runs under
-// ThreadSanitizer in the GOOFI_TSAN CI job.
+// Concurrency stress. A control thread hammers Pause()/Resume()/Stop()
+// while the fleet runs; no experiment may be logged twice, and a stop
+// must leave a resumable state that a fleet of a *different* size
+// completes to the serial result, row for row in the same order. Runs
+// under ThreadSanitizer in the GOOFI_TSAN CI job.
 TEST_F(ParallelRunnerTest, PauseResumeStopUnderFireLeavesResumableState) {
   const CampaignConfig config = MakeConfig("stress", 120);
   db::Database database;
@@ -402,14 +458,10 @@ TEST_F(ParallelRunnerTest, PauseResumeStopUnderFireLeavesResumableState) {
   target::ThorRdTarget serial_target;
   ASSERT_TRUE(
       CampaignRunner(&serial_db, &serial_target).Run("stress").ok());
-  // Row *sets* match; the row order may differ from a never-stopped
-  // run when the stop landed between shards.
-  auto sorted = [](std::vector<std::string> rows) {
-    std::sort(rows.begin(), rows.end());
-    return rows;
-  };
-  EXPECT_EQ(sorted(DumpTable(database, kLoggedSystemStateTable)),
-            sorted(DumpTable(serial_db, kLoggedSystemStateTable)));
+  // A stop leaves a logged prefix of the plan and the resume appends
+  // the rest, so even the row order is a never-stopped run's.
+  EXPECT_EQ(DumpTable(database, kLoggedSystemStateTable),
+            DumpTable(serial_db, kLoggedSystemStateTable));
   auto status = db::sql::ExecuteSql(
       database,
       "SELECT status, experiments_done FROM CampaignData WHERE "

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "core/goofi.h"
 #include "test_util/temp_dir.h"
@@ -166,14 +168,16 @@ TEST_F(ResumeTest, ParallelCrashAfterCheckpointResumesWithOtherWorkerCount) {
   });
   ASSERT_TRUE(runner.Run("pckpt").ok());
 
-  // Recovery: reopen the checkpointed world (which holds some multiple
-  // of 5 experiments — in-flight claims may land after the stop) and
-  // resume the sharded plan with a *different* worker count.
+  // Recovery: reopen the checkpointed world (the stop landed right
+  // after the third cadence commit, so it holds the first 15
+  // experiments) and resume the sharded plan with a *different* worker
+  // count.
   auto recovered = db::Database::Open(dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ParallelCampaignRunner resumer(&(*recovered), *factory, 2);
   auto summary = resumer.Resume("pckpt");
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->experiments_run, 15u);
   EXPECT_EQ(summary->experiments_stopped_early, 0u);
 
   // Completion with no duplicates: exactly 30 experiments + reference.
@@ -199,6 +203,97 @@ TEST_F(ResumeTest, ParallelCrashAfterCheckpointResumesWithOtherWorkerCount) {
   EXPECT_EQ(ExperimentDataIn(*recovered, "pckpt"),
             ExperimentDataIn(*recovered, "pserial"));
   fs::remove_all(dir);
+}
+
+// This process's peak resident set in kB (VmHWM), or nullopt where
+// /proc/self/status is not available.
+std::optional<long> PeakResidentKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return std::nullopt;
+}
+
+// Nothing about a run or a resume grows with the plan: a campaign of
+// 10^9 experiments is stopped at 5, resumed at the logged prefix and
+// stopped at 10, with no byte kept or name formatted per planned
+// experiment.
+TEST_F(ResumeTest, BillionExperimentPlanResumesAtTheLoggedPrefix) {
+  constexpr std::uint32_t kPlanned = 1000000000;
+  CampaignConfig config = MakeConfig("huge");
+  config.num_experiments = kPlanned;
+  ASSERT_TRUE(StoreCampaign(database_, config).ok());
+  const std::optional<long> peak_before = PeakResidentKb();
+  for (const std::size_t stop_at : {5u, 10u}) {
+    CampaignController controller;
+    CampaignRunner runner(&database_, &target_);
+    runner.set_controller(&controller);
+    runner.set_progress_callback([&](ProgressInfo info) {
+      if (info.experiments_done == stop_at) controller.Stop();
+    });
+    auto summary = stop_at == 5 ? runner.Run("huge") : runner.Resume("huge");
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_EQ(summary->experiments_run, 5u);
+    EXPECT_EQ(summary->experiments_stopped_early, kPlanned - stop_at);
+  }
+  const db::Table* logged = database_.FindTable(kLoggedSystemStateTable);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_TRUE(logged->FindByUnique(0, db::Value::Text_(
+                                            ExperimentName("huge", i)))
+                    .has_value())
+        << i;
+  }
+  auto count = db::sql::ExecuteSql(
+      database_,
+      "SELECT COUNT(*) FROM LoggedSystemState WHERE campaign_name = "
+      "'huge'");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count->rows[0][0].AsInteger(), 11);  // + the reference
+  auto status = db::sql::ExecuteSql(
+      database_,
+      "SELECT status, experiments_done FROM CampaignData WHERE "
+      "campaign_name = 'huge'");
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->rows[0][0].AsText(), "stopped");
+  EXPECT_EQ(status->rows[0][1].AsInteger(), 10);
+  // One byte per planned experiment would be ~1 GB; the bound leaves
+  // room for sanitizer runtimes.
+  if (peak_before.has_value()) {
+    EXPECT_LT(*PeakResidentKb() - *peak_before, 256 * 1024);
+  }
+}
+
+// Every run leaves a prefix of the plan logged, so a hole in it means
+// rows were lost. Resume refuses, naming the campaign: re-running the
+// hole would append it out of order.
+TEST_F(ResumeTest, HoleInTheLoggedPrefixIsDataLoss) {
+  ASSERT_TRUE(StoreCampaign(database_, MakeConfig("holed")).ok());
+  CampaignController controller;
+  CampaignRunner runner(&database_, &target_);
+  runner.set_controller(&controller);
+  runner.set_progress_callback([&](ProgressInfo info) {
+    if (info.experiments_done == 10) controller.Stop();
+  });
+  ASSERT_TRUE(runner.Run("holed").ok());
+  auto deleted = db::sql::ExecuteSql(
+      database_,
+      "DELETE FROM LoggedSystemState WHERE experiment_name = "
+      "'holed/exp00004'");
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  ASSERT_EQ(deleted->affected_rows, 1u);
+
+  auto resumed = CampaignRunner(&database_, &target_).Resume("holed");
+  EXPECT_EQ(resumed.status().code(), ErrorCode::kDataLoss);
+  EXPECT_NE(resumed.status().message().find("'holed'"), std::string::npos)
+      << resumed.status().ToString();
+  auto count = db::sql::ExecuteSql(
+      database_,
+      "SELECT COUNT(*) FROM LoggedSystemState WHERE campaign_name = "
+      "'holed'");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count->rows[0][0].AsInteger(), 10);  // nothing re-ran
 }
 
 TEST_F(ResumeTest, ResumeOfNeverRunCampaignRunsEverything) {
