@@ -95,11 +95,11 @@ struct CampaignConfig {
 
   StaticAnalysis static_analysis = StaticAnalysis::kOff;
 
-  // How many worker threads execute the campaign (`jobs` key). An
-  // execution knob, not part of the campaign's identity: the runner's
-  // determinism guarantee makes any worker count produce the same
-  // database, so this is deliberately NOT stored in CampaignData and
-  // never affects results.
+  // How many workers execute the campaign (`jobs` key; the calling
+  // thread is the first). An execution knob, not part of the campaign's
+  // identity: the runner's determinism guarantee makes any
+  // worker count produce the same database, so this is deliberately
+  // NOT stored in CampaignData and never affects results.
   std::uint32_t jobs = 1;
 
   // ---- supervision (core/supervision.h) ---------------------------------

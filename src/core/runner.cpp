@@ -4,6 +4,7 @@
 #include <charconv>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -80,10 +81,63 @@ Status LogExperimentObservation(db::Database& database,
   return database.Insert(kLoggedSystemStateTable, std::move(row));
 }
 
+namespace {
+
+// Between the campaign and the index in an experiment's name.
+constexpr char kExperimentInfix[] = "/exp";
+
+}  // namespace
+
 std::string ExperimentName(const std::string& campaign_name,
                            std::size_t index) {
-  return StrFormat("%s/exp%05zu", campaign_name.c_str(), index);
+  return StrFormat("%s%s%05zu", campaign_name.c_str(), kExperimentInfix,
+                   index);
 }
+
+namespace {
+
+// The index whose ExperimentName(campaign_name, index) is `name`, or
+// nullopt for any other row: another campaign's, a detail re-run.
+std::optional<std::uint64_t> ParseExperimentIndex(
+    const std::string& campaign_name, const std::string& name) {
+  const std::size_t digits =
+      campaign_name.size() + std::strlen(kExperimentInfix);
+  const char* const end = name.data() + name.size();
+  std::uint64_t index = 0;
+  if (name.size() <= digits || !StartsWith(name, campaign_name) ||
+      std::from_chars(name.data() + digits, end, index).ptr != end ||
+      ExperimentName(campaign_name, index) != name) {
+    return std::nullopt;
+  }
+  return index;
+}
+
+// Resume's starting point k: every run leaves the plan prefix [0, k)
+// logged, so k counts the campaign's experiment rows and is one past
+// the largest index among them, or the rows were damaged.
+Result<std::size_t> LoggedPrefix(const db::Database& database,
+                                 const CampaignConfig& config) {
+  const db::Table* logged = database.FindTable(kLoggedSystemStateTable);
+  if (logged == nullptr) return 0;
+  std::size_t count = 0;
+  std::uint64_t end = 0;  // one past the largest index
+  for (const Row& row : logged->rows()) {
+    const auto index = ParseExperimentIndex(config.name, row[0].AsText());
+    if (!index.has_value()) continue;
+    ++count;
+    end = std::max(end, *index + 1);
+  }
+  if (end != count || count > config.num_experiments) {
+    return DataLossError(StrFormat(
+        "campaign '%s': its %zu logged experiments (largest index %llu) "
+        "are not a prefix of its %u-experiment plan",
+        config.name.c_str(), count, static_cast<unsigned long long>(end - 1),
+        config.num_experiments));
+  }
+  return count;
+}
+
+}  // namespace
 
 Result<target::ExperimentSpec> SampleExperimentSpec(
     const ExperimentPlan& plan, std::size_t index, std::uint64_t* resamples) {
@@ -204,12 +258,14 @@ Result<PreparedCampaign> PrepareCampaignRun(
   ASSIGN_OR_RETURN(const target::WorkloadSpec workload,
                    ConfigureTargetWorkload(prepared.config, reference_target));
   prepared.workload_termination = workload.termination;
+  if (resume) {
+    ASSIGN_OR_RETURN(prepared.first, LoggedPrefix(database, prepared.config));
+  }
   // Resuming a campaign that already ran to completion (e.g. a daemon
   // killed between the final results commit and its own bookkeeping)
   // must append zero bytes: skip the "running" reset, let the run loop
-  // start after the last planned experiment, and the final status write
-  // elides as a no-op. Any other stored status resets to "running" as
-  // usual.
+  // start past the plan's end, and the final status write elides as
+  // a no-op. Any other stored status resets to "running" as usual.
   bool already_completed = false;
   if (resume) {
     ASSIGN_OR_RETURN(const std::string status,
@@ -546,7 +602,6 @@ class CampaignWriter {
                  std::size_t checkpoint_every)
       : database_(database),
         summary_(std::move(summary)),
-        first_(first),
         total_(total),
         progress_(progress),
         checkpoint_directory_(checkpoint_directory),
@@ -580,7 +635,7 @@ class CampaignWriter {
     summary_.instructions_skipped += result.instructions_skipped;
     summary_.trigger_instructions_total += result.trigger_instructions;
 
-    info_.experiments_done = first_ + summary_.experiments_run;
+    ++info_.experiments_done;
     info_.experiment_retries = summary_.experiment_retries;
     info_.experiments_abandoned = summary_.experiments_abandoned;
     info_.targets_quarantined = summary_.targets_quarantined;
@@ -605,8 +660,7 @@ class CampaignWriter {
   }
 
   Result<CampaignSummary> Finish(const CampaignController* controller) {
-    const std::size_t done = first_ + summary_.experiments_run;
-    summary_.experiments_stopped_early = total_ - done;
+    summary_.experiments_stopped_early = total_ - info_.experiments_done;
     // A drain ends the run at its last cadence checkpoint: writing the
     // "stopped" row here (or committing the partial batch) would make
     // the database diverge from a SIGKILL at that commit, and the
@@ -619,14 +673,13 @@ class CampaignWriter {
     RETURN_IF_ERROR(UpdateCampaignRunStatus(
         database_, summary_.campaign_name,
         summary_.experiments_stopped_early > 0 ? "stopped" : "completed",
-        done));
+        info_.experiments_done));
     return summary_;
   }
 
  private:
   db::Database& database_;
   CampaignSummary summary_;
-  const std::size_t first_;
   const std::size_t total_;
   const ProgressCallback& progress_;
   const std::string& checkpoint_directory_;
@@ -634,14 +687,15 @@ class CampaignWriter {
   ProgressInfo info_;
 };
 
-// The one driver, at every worker count: each worker claims the next
-// plan index from `first` on, runs it on its own target slot (worker 0
-// on `slot`, the others on lazily minted ones) and parks the result in
-// a reorder buffer; the calling thread writes the buffer out in
-// canonical order. The writer alone applies Fig. 7: it writes nothing
-// while paused, and a stop ends the run before the next row, dropping
-// results claimed past it. So the logged set is always a contiguous
-// prefix, ending exactly where a stop or a fatal error landed.
+// The one driver, at every worker count. The calling thread is the
+// writer and the first worker, on `slot`: it logs the next result in
+// canonical order when there is one and otherwise runs the next plan
+// index itself. The other workers run on threads of their own and park
+// their results in a reorder buffer. Claims go in order from `first`.
+// Fig. 7: while paused nothing is claimed or written; a stop ends the
+// run before the next row, dropping results claimed past it. So the
+// logged set is always a plan prefix, ending exactly where a stop or a
+// fatal error landed.
 Status RunFleet(const ExecutionContext& context, std::size_t first,
                 std::size_t workers, TargetSlot slot, CampaignWriter& writer,
                 CampaignController* controller) {
@@ -658,104 +712,90 @@ Status RunFleet(const ExecutionContext& context, std::size_t first,
 
   std::mutex mutex;  // guards everything below
   std::condition_variable results_ready;  // the writer waits on this
-  std::condition_variable claims_open;    // throttled workers wait on this
+  std::condition_variable claims_open;    // the other workers wait on this
   std::map<std::size_t, Result<ExperimentResult>> results;
   std::size_t next_to_claim = first;
   std::size_t next_to_log = first;  // the canonical cursor
   std::size_t exited = 0;
   bool abort = false;  // a fatal result, or the writer is done
 
-  auto worker_main = [&](TargetSlot worker_slot) {
-    ExperimentExecutor executor(context, std::move(worker_slot));
-    for (;;) {
-      std::size_t index;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        claims_open.wait(lock, [&] {
-          return abort || next_to_claim >= total ||
-                 next_to_claim < next_to_log + window;
-        });
-        if (abort || next_to_claim >= total) {
-          ++exited;
-          results_ready.notify_all();
-          return;
-        }
-        index = next_to_claim++;
-      }
-      Result<ExperimentResult> result = executor.Execute(index);
-      std::lock_guard<std::mutex> lock(mutex);
-      // Indices below a fatal one are all claimed and still arrive, so
-      // the writer logs every row before the first failing index.
-      abort = abort || !result.ok();
-      results.emplace(index, std::move(result));
-      results_ready.notify_all();
-    }
+  // Under `mutex`: nothing is left to claim, ever.
+  const auto claims_over = [&] {
+    return abort || next_to_claim >= total || controller->stopped();
   };
+  // Under `mutex`: the next index may be claimed now.
+  const auto claim_open = [&] {
+    return !claims_over() && !controller->paused() &&
+           next_to_claim < next_to_log + window;
+  };
+  // Run a claimed index and park its result.
+  const auto run = [&](ExperimentExecutor& executor, std::size_t index,
+                       std::unique_lock<std::mutex>& lock) {
+    lock.unlock();
+    Result<ExperimentResult> result = executor.Execute(index);
+    lock.lock();
+    // Indices below a fatal one are all claimed and still arrive, so
+    // the writer logs every row before the first failing index.
+    abort = abort || !result.ok();
+    results.emplace(index, std::move(result));
+  };
+
   std::vector<std::thread> fleet;
-  fleet.reserve(workers);
-  fleet.emplace_back(worker_main, std::move(slot));
   for (std::size_t w = 1; w < workers; ++w) {
-    fleet.emplace_back(worker_main, TargetSlot());
+    fleet.emplace_back([&] {
+      ExperimentExecutor executor(context, TargetSlot());
+      std::unique_lock<std::mutex> lock(mutex);
+      for (;;) {
+        // wait_for, so that a Resume() or Stop() is noticed even though
+        // it cannot notify our condition variable.
+        while (!claims_over() && !claim_open()) {
+          claims_open.wait_for(lock, std::chrono::milliseconds(5));
+        }
+        if (claims_over()) break;
+        run(executor, next_to_claim++, lock);
+        results_ready.notify_all();
+      }
+      ++exited;
+      results_ready.notify_all();
+    });
   }
 
+  ExperimentExecutor executor(context, std::move(slot));
   Status status = Status::Ok();
   {
     std::unique_lock<std::mutex> lock(mutex);
     while (!controller->stopped()) {
       const auto it = results.find(next_to_log);
-      if (it == results.end() && exited == workers) break;
-      if (it == results.end() || controller->paused()) {
-        if (controller->paused()) {
-          lock.unlock();
-          writer.Heartbeat();
-          lock.lock();
-        }
-        results_ready.wait_for(lock, std::chrono::milliseconds(5));
+      if (it != results.end() && !controller->paused()) {
+        Result<ExperimentResult> result = std::move(it->second);
+        results.erase(it);
+        ++next_to_log;
+        claims_open.notify_all();
+        lock.unlock();
+        status = result.ok() ? writer.Write(*result) : result.status();
+        lock.lock();
+        if (!status.ok()) break;
         continue;
       }
-      Result<ExperimentResult> result = std::move(it->second);
-      results.erase(it);
-      ++next_to_log;
-      claims_open.notify_all();
-      lock.unlock();
-      status = result.ok() ? writer.Write(*result) : result.status();
-      lock.lock();
-      if (!status.ok()) break;
+      if (claim_open()) {
+        run(executor, next_to_claim++, lock);
+        continue;
+      }
+      if (it == results.end() && claims_over() && exited == fleet.size()) {
+        break;
+      }
+      if (controller->paused()) {
+        lock.unlock();
+        writer.Heartbeat();
+        lock.lock();
+      }
+      results_ready.wait_for(lock, std::chrono::milliseconds(5));
     }
     abort = true;
     claims_open.notify_all();
   }
   for (std::thread& thread : fleet) thread.join();
   return status;
-}
-
-// Resume's starting point k: every run leaves the plan prefix [0, k)
-// logged, so k counts the campaign's "<campaign>/exp<digits>" rows and
-// is one past the largest index among them, or the rows were damaged.
-Result<std::size_t> LoggedPrefix(const db::Table& logged,
-                                 const CampaignConfig& config) {
-  const std::string prefix = config.name + "/exp";
-  std::size_t count = 0;
-  std::uint64_t largest = 0;
-  for (const Row& row : logged.rows()) {
-    const std::string& name = row[0].AsText();
-    if (!StartsWith(name, prefix)) continue;
-    const char* const end = name.data() + name.size();
-    std::uint64_t index = 0;
-    const auto [stop, error] =
-        std::from_chars(name.data() + prefix.size(), end, index);
-    if (error != std::errc() || stop != end) continue;  // e.g. a detail run
-    ++count;
-    largest = std::max(largest, index);
-  }
-  if (count > 0 && (largest + 1 != count || count > config.num_experiments)) {
-    return DataLossError(StrFormat(
-        "campaign '%s': its %zu logged experiments (largest index %llu) "
-        "are not a prefix of its %u-experiment plan",
-        config.name.c_str(), count, static_cast<unsigned long long>(largest),
-        config.num_experiments));
-  }
-  return count;
 }
 
 }  // namespace
@@ -787,11 +827,7 @@ Result<CampaignSummary> CampaignRunner::RunInternal(
                    PrepareCampaignRun(*database_, reference.get(),
                                       campaign_name, resume,
                                       checkpoint_override_));
-  ASSIGN_OR_RETURN(
-      const std::size_t first,
-      resume ? LoggedPrefix(*database_->FindTable(kLoggedSystemStateTable),
-                            prepared.config)
-             : Result<std::size_t>(0));
+  const std::size_t first = prepared.first;
   const std::size_t total = prepared.config.num_experiments;
   const ExecutionContext context{
       prepared.MakePlan(),
@@ -806,10 +842,9 @@ Result<CampaignSummary> CampaignRunner::RunInternal(
   // unless it is the caller's and a factory can mint an abandonable one
   // instead.
   if (!reference.abandonable() && target_factory_) reference = TargetSlot();
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min<std::size_t>(jobs_, total - first));
-  RETURN_IF_ERROR(RunFleet(context, first, workers, std::move(reference),
-                           writer, controller_));
+  RETURN_IF_ERROR(RunFleet(context, first,
+                           std::min<std::size_t>(jobs_, total - first),
+                           std::move(reference), writer, controller_));
   return writer.Finish(controller_);
 }
 

@@ -17,18 +17,20 @@
 // runner with N workers samples it out of order on worker threads yet
 // logs a database bit-identical to a one-worker run.
 //
-// There is one campaign loop. Worker threads each run an experiment
-// executor that samples, runs and supervises plan indices on its own
-// target; a single writer on the calling thread logs their results in
-// canonical plan order and does all summary, progress and commit
-// accounting. The worker count (`jobs`) only sets how many workers
-// there are: a pure execution choice, invisible in the database.
+// There is one campaign loop. Each worker runs an experiment executor
+// that samples, runs and supervises plan indices on its own target; a
+// single writer logs their results in canonical plan order and does
+// all summary, progress and commit accounting. The calling thread is
+// the writer and the first worker; the worker count (`jobs`) only sets
+// how many workers there are, `jobs` - 1 on threads of their own: a
+// pure execution choice, invisible in the database.
 //
 // Progress reporting and pause/stop mirror the paper's progress window
 // ("getting information about the number of faults injected and also to
-// pause, restart or end the campaign"). The writer applies them between
-// two logged rows, so the logged experiments are always a prefix of the
-// plan that ends exactly where a stop landed.
+// pause, restart or end the campaign"). While paused no worker starts
+// an experiment and nothing is logged; the writer applies a stop
+// between two logged rows, so the logged experiments are always a
+// prefix of the plan that ends exactly where a stop landed.
 #pragma once
 
 #include <atomic>
@@ -50,8 +52,8 @@
 namespace goofi::core {
 
 // Fig. 7's pause/restart/end controls, usable from another thread. One
-// controller steers a whole run at any worker count: the writer polls
-// it between two logged rows.
+// controller steers a whole run at any worker count: the workers poll
+// it before each claim and the writer between two logged rows.
 class CampaignController {
  public:
   void Pause() { paused_ = true; }
@@ -228,6 +230,8 @@ Status LogExperimentObservation(db::Database& database,
 // MakePlan() points into; keep it alive for the whole run.
 struct PreparedCampaign {
   CampaignConfig config;
+  // The first experiment to run: 0, or a resume's logged prefix length.
+  std::size_t first = 0;
   LocationSpace space;
   // The golden run's def-use index: built once when the campaign
   // enables the liveness filter (`use_preinjection`) or equivalence
@@ -276,7 +280,8 @@ struct PreparedCampaign {
 // this run only, regardless of the stored campaign's checkpoint_mode.
 // Execution-only: the CampaignData row is not rewritten, so a forked
 // run and a replayed run of the same campaign store identical rows
-// (the CI smoke job diffs exactly that).
+// (the CI smoke job diffs exactly that). A `resume` whose logged rows
+// are not a plan prefix fails DataLoss before anything is written.
 Result<PreparedCampaign> PrepareCampaignRun(
     db::Database& database, target::TargetSystemInterface* reference_target,
     const std::string& campaign_name, bool resume,
@@ -289,7 +294,7 @@ class CampaignRunner {
   // must name a built-in one (then the runner configures it). The
   // target makes the reference run and, unless set_target_factory()
   // gives the runner a way to mint abandonable instances, every
-  // experiment as well, from the run's one worker thread.
+  // experiment as well, on the calling thread (the run's one worker).
   CampaignRunner(db::Database* database,
                  target::TargetSystemInterface* target);
 

@@ -230,11 +230,25 @@ TEST_F(ParallelRunnerTest, SingleWorkerDegeneratesToSerial) {
             DumpTable(serial_db, kLoggedSystemStateTable));
 }
 
+// A thor_rd target that counts the experiments run on it.
+class CountingThorRdTarget : public target::ThorRdTarget {
+ public:
+  explicit CountingThorRdTarget(std::atomic<std::size_t>* runs)
+      : runs_(runs) {}
+  Status RunExperiment() override {
+    ++*runs_;
+    return ThorRdTarget::RunExperiment();
+  }
+
+ private:
+  std::atomic<std::size_t>* runs_;
+};
+
 // Fig. 7 at every worker count: a Stop() from the progress callback at
 // k logs exactly k experiments (plus the reference) and records the
-// campaign as stopped at k, and a Pause() there holds the table still
-// until Resume(). The writer ends or waits before the next row,
-// whatever the workers claimed ahead of it.
+// campaign as stopped at k, and a Pause() there holds the table and
+// the targets still until Resume(). The writer ends or waits before the
+// next row, whatever the workers claimed ahead of it.
 TEST_F(ParallelRunnerTest, StopAndPauseAreExactAtEveryWorkerCount) {
   const CampaignConfig config = MakeConfig("exact", 10);
   for (const std::size_t jobs : {1u, 2u, 4u}) {
@@ -269,39 +283,61 @@ TEST_F(ParallelRunnerTest, StopAndPauseAreExactAtEveryWorkerCount) {
           << label;
     }
 
+    // The paused plan is longer than the claim window, so workers that
+    // ran on to fill it would show in the run count.
     constexpr std::size_t kPauseAt = 3;
+    constexpr std::size_t kPausedPlan = 100;
+    const CampaignConfig paused_config = MakeConfig("paused", kPausedPlan);
+    std::atomic<std::size_t> runs{0};
+    const target::TargetFactory counting =
+        [&runs]() -> Result<std::unique_ptr<target::TargetSystemInterface>> {
+      return std::unique_ptr<target::TargetSystemInterface>(
+          new CountingThorRdTarget(&runs));
+    };
     db::Database database;
-    SetUpDatabase(database, config);
+    SetUpDatabase(database, paused_config);
     CampaignController controller;
-    CampaignRunner runner(&database, ThorFactory(), jobs);
+    CampaignRunner runner(&database, counting, jobs);
     runner.set_controller(&controller);
-    // The callback runs on the writer's thread, again on every heartbeat
+    // The callback runs on the calling thread, again on every heartbeat
     // of the pause; only its first call at kPauseAt pauses.
     bool pause_sent = false;
+    std::size_t runs_at_pause = 0;
     std::promise<void> paused;
     runner.set_progress_callback([&](ProgressInfo info) {
       if (info.experiments_done == kPauseAt && !pause_sent) {
         pause_sent = true;
         controller.Pause();
+        runs_at_pause = runs;
         paused.set_value();
       }
     });
     std::size_t rows_while_paused = 0;
+    std::size_t runs_settled = 0;
+    std::size_t runs_later = 0;
     std::thread checker([&] {
       paused.get_future().wait();
       // Long enough for the workers to finish what they claimed.
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
       rows_while_paused =
           database.FindTable(kLoggedSystemStateTable)->row_count();
+      runs_settled = runs;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      runs_later = runs;
       controller.Resume();
     });
-    auto summary = runner.Run("exact");
+    auto summary = runner.Run("paused");
     if (!pause_sent) paused.set_value();  // a failed run still ends
     checker.join();
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
     EXPECT_EQ(rows_while_paused, 1u + kPauseAt) << "jobs " << jobs;
-    EXPECT_EQ(summary->experiments_run, 10u) << "jobs " << jobs;
-    EXPECT_EQ(DumpTable(database, kLoggedSystemStateTable).size(), 11u)
+    // The calling thread is in the callback, so at most the other
+    // jobs - 1 workers had an experiment in flight; then none starts.
+    EXPECT_LT(runs_settled - runs_at_pause, jobs) << "jobs " << jobs;
+    EXPECT_EQ(runs_later, runs_settled) << "jobs " << jobs;
+    EXPECT_EQ(summary->experiments_run, kPausedPlan) << "jobs " << jobs;
+    EXPECT_EQ(DumpTable(database, kLoggedSystemStateTable).size(),
+              1u + kPausedPlan)
         << "jobs " << jobs;
   }
 }

@@ -266,8 +266,8 @@ TEST_F(ResumeTest, BillionExperimentPlanResumesAtTheLoggedPrefix) {
 }
 
 // Every run leaves a prefix of the plan logged, so a hole in it means
-// rows were lost. Resume refuses, naming the campaign: re-running the
-// hole would append it out of order.
+// rows were lost. Resume refuses, naming the campaign, before it writes
+// anything: re-running the hole would append it out of order.
 TEST_F(ResumeTest, HoleInTheLoggedPrefixIsDataLoss) {
   ASSERT_TRUE(StoreCampaign(database_, MakeConfig("holed")).ok());
   CampaignController controller;
@@ -294,6 +294,14 @@ TEST_F(ResumeTest, HoleInTheLoggedPrefixIsDataLoss) {
       "'holed'");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->rows[0][0].AsInteger(), 10);  // nothing re-ran
+  // Nor was anything written: the campaign still reads stopped at 10.
+  auto status = db::sql::ExecuteSql(
+      database_,
+      "SELECT status, experiments_done FROM CampaignData WHERE "
+      "campaign_name = 'holed'");
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->rows[0][0].AsText(), "stopped");
+  EXPECT_EQ(status->rows[0][1].AsInteger(), 10);
 }
 
 TEST_F(ResumeTest, ResumeOfNeverRunCampaignRunsEverything) {
