@@ -3,9 +3,14 @@
 // logging mode, plus where the time goes (link traffic, TCK cycles).
 // The second half measures checkpoint-fork execution: the same
 // register-SCIFI campaign replayed from reset vs forked from golden-run
-// checkpoints, with the speedup and the replay instructions saved.
+// checkpoints, with the speedup and the replay instructions saved; then
+// convergence on the runtime-SWIFI mission: the share of forked runs
+// that rejoined the golden run, the post-injection instructions they
+// skipped, and the cost of one boundary comparison.
 // Everything also lands in BENCH_campaign_throughput.json.
 #include <algorithm>
+#include <chrono>
+#include <vector>
 
 #include "bench_util.h"
 #include "target/cache_target.h"
@@ -19,6 +24,108 @@ double MeanReplayed(const goofi::core::CampaignSummary& summary) {
   return static_cast<double>(summary.trigger_instructions_total -
                              summary.instructions_skipped) /
          static_cast<double>(summary.experiments_run);
+}
+
+constexpr int kForkTrials = 5;
+
+double Rate(const goofi::bench::CampaignRun& run) {
+  return static_cast<double>(run.summary.experiments_run) / run.wall_seconds;
+}
+
+double Share(std::uint64_t part, std::uint64_t whole) {
+  return whole == 0 ? 0.0
+                    : static_cast<double>(part) / static_cast<double>(whole);
+}
+
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  const double median = n % 2 == 1
+                            ? values[n / 2]
+                            : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  return {median, values.front(), values.back()};
+}
+
+goofi::bench::BenchJson& AddSpread(goofi::bench::BenchJson& json,
+                                   const Spread& spread) {
+  return json.Field("trials", std::uint64_t{kForkTrials})
+      .Field("experiments_per_sec", spread.median)
+      .Field("experiments_per_sec_min", spread.min)
+      .Field("experiments_per_sec_max", spread.max);
+}
+
+goofi::bench::BenchJson& ForkRow(goofi::bench::BenchJson& json,
+                                 const char* technique,
+                                 const goofi::bench::CampaignRun& run,
+                                 bool checkpoint_on, std::uint64_t stride) {
+  return json.BeginEntry()
+      .Field("workload", "engine_control")
+      .Field("technique", technique)
+      .Field("logging", "normal")
+      .Field("experiments", std::uint64_t{run.summary.experiments_run})
+      .Field("reference_instructions", run.summary.reference.instructions)
+      .Field("mean_pretrigger_instructions_replayed",
+             MeanReplayed(run.summary))
+      .Field("checkpoint_mode", checkpoint_on)
+      .Field("checkpoint_stride", stride)
+      .Field("checkpoint_forks", std::uint64_t{run.summary.checkpoint_forks})
+      .Field("instructions_skipped", run.summary.instructions_skipped);
+}
+
+goofi::bench::BenchJson& MissionRow(goofi::bench::BenchJson& json,
+                                    const goofi::bench::CampaignRun& run,
+                                    bool checkpoint_on, std::uint64_t stride) {
+  return ForkRow(json, "swifi_runtime", run, checkpoint_on, stride)
+      .Field("experiments_converged",
+             std::uint64_t{run.summary.experiments_converged})
+      .Field("post_injection_instructions",
+             run.summary.post_injection_instructions_total)
+      .Field("post_injection_instructions_skipped",
+             run.summary.converged_instructions_skipped);
+}
+
+// Median microseconds of one convergence test at a boundary where the
+// live state matches: the golden snapshot restored onto the target and
+// compared with itself, the whole emitted and environment history
+// included (a forked run skips the prefix it shares with its
+// checkpoint, so this bounds the real cost from above).
+double BoundaryCompareMicros(const goofi::core::CampaignConfig& config) {
+  using namespace goofi;
+  target::ThorRdTarget target;
+  auto workload = target::GetBuiltinWorkload(config.workload);
+  if (!workload.ok() || !target.SetWorkload(*workload).ok()) std::abort();
+  target::ExperimentSpec spec;
+  spec.name = "compare/reference";
+  spec.technique = config.technique;
+  spec.termination = config.termination;
+  target.set_experiment(spec);
+  target::GoldenRun golden;
+  target.set_checkpoint_recording(config.checkpoint_stride, &golden);
+  if (!target.MakeReferenceRun().ok()) std::abort();
+  target.set_checkpoint_recording(0, nullptr);
+  constexpr int kRepeats = 20;
+  std::vector<double> micros;
+  for (std::size_t b = 1; b < golden.boundaries.size(); ++b) {
+    const target::GoldenRun::Boundary& boundary = golden.boundaries[b];
+    if (!target.RestoreSnapshot(*boundary.snapshot).ok()) std::abort();
+    bool matched = true;
+    const auto begin = std::chrono::steady_clock::now();
+    for (int r = 0; r < kRepeats; ++r) {
+      matched = matched && target.MatchesGoldenAt(boundary);
+    }
+    const auto end = std::chrono::steady_clock::now();
+    if (!matched) std::abort();
+    micros.push_back(std::chrono::duration<double, std::micro>(end - begin)
+                         .count() /
+                     kRepeats);
+  }
+  return micros.empty() ? 0.0 : SpreadOf(micros).median;
 }
 
 }  // namespace
@@ -175,36 +282,40 @@ int main() {
   ckpt_config.checkpoint_stride = std::max<std::uint64_t>(
       1, probe_duration / 10);
 
-  std::printf("%-10s %6s | %9s %9s | %12s %12s\n", "mode", "N", "exps/s",
-              "speedup", "replayed/exp", "forks");
-  double off_seconds = 0.0;
-  for (const bool checkpoint_on : {false, true}) {
+  // Fork rows run kForkTrials times and report the median and range;
+  // the replay baselines run once.
+  std::printf("%-10s %6s | %9s %17s %9s | %12s %6s\n", "mode", "N",
+              "exps/s", "[min, max]", "speedup", "replayed/exp", "forks");
+  const double replay_rate = [&] {
     db::Database database;
     target::ThorRdTarget target;
     const bench::CampaignRun run =
-        bench::RunCampaign(database, target, ckpt_config, checkpoint_on);
-    if (!checkpoint_on) off_seconds = run.wall_seconds;
-    const double exps_per_sec =
-        static_cast<double>(run.summary.experiments_run) / run.wall_seconds;
-    std::printf("%-10s %6zu | %9.1f %8.2fx | %12.0f %12zu\n",
-                checkpoint_on ? "fork" : "replay",
-                run.summary.experiments_run, exps_per_sec,
-                off_seconds / run.wall_seconds, MeanReplayed(run.summary),
-                run.summary.checkpoint_forks);
-    json.BeginEntry()
-        .Field("workload", "engine_control")
-        .Field("technique", "scifi")
-        .Field("logging", "normal")
-        .Field("experiments", std::uint64_t{run.summary.experiments_run})
-        .Field("experiments_per_sec", exps_per_sec)
-        .Field("reference_instructions",
-               run.summary.reference.instructions)
-        .Field("mean_pretrigger_instructions_replayed", MeanReplayed(run.summary))
-        .Field("checkpoint_mode", checkpoint_on)
-        .Field("checkpoint_stride", ckpt_config.checkpoint_stride)
-        .Field("checkpoint_forks",
-               std::uint64_t{run.summary.checkpoint_forks})
-        .Field("instructions_skipped", run.summary.instructions_skipped);
+        bench::RunCampaign(database, target, ckpt_config, false);
+    const double rate = Rate(run);
+    std::printf("%-10s %6zu | %9.1f %17s %9s | %12.0f %6zu\n", "replay",
+                run.summary.experiments_run, rate, "", "1.00x",
+                MeanReplayed(run.summary), run.summary.checkpoint_forks);
+    ForkRow(json, "scifi", run, false, ckpt_config.checkpoint_stride)
+        .Field("experiments_per_sec", rate);
+    return rate;
+  }();
+  {
+    std::vector<double> rates;
+    bench::CampaignRun run;
+    for (int trial = 0; trial < kForkTrials; ++trial) {
+      db::Database database;
+      target::ThorRdTarget target;
+      run = bench::RunCampaign(database, target, ckpt_config, true);
+      rates.push_back(Rate(run));
+    }
+    const Spread spread = SpreadOf(rates);
+    std::printf("%-10s %6zu | %9.1f [%7.1f, %7.1f] %8.2fx | %12.0f %6zu\n",
+                "fork", run.summary.experiments_run, spread.median,
+                spread.min, spread.max, spread.median / replay_rate,
+                MeanReplayed(run.summary), run.summary.checkpoint_forks);
+    AddSpread(
+        ForkRow(json, "scifi", run, true, ckpt_config.checkpoint_stride),
+        spread);
   }
   std::printf(
       "\nFork mode skips the pre-trigger replay: every experiment\n"
@@ -213,6 +324,65 @@ int main() {
       "window position / (1 - window position). The logged database is\n"
       "bit-identical in both modes (tests/core/checkpoint_fork_test.cpp\n"
       "proves it row for row).\n");
+
+  // ---- convergence: the runtime-SWIFI mission --------------------------
+  // Runtime SWIFI over the whole 10000-iteration mission (the shape of
+  // goofi_benchmark's swifi_fork_mission). Forked experiments stop at
+  // the first checkpoint boundary where they have rejoined the golden
+  // run; the share that did and the post-injection instructions they
+  // skipped are telemetry, the rows are the replay's.
+  std::printf("\n== convergence: runtime-SWIFI mission ==\n\n");
+  core::CampaignConfig mission = ckpt_config;
+  mission.name = "mission";
+  mission.technique = target::Technique::kSwifiRuntime;
+  mission.location_filters.clear();
+  mission.time_window_lo = 0;
+  std::printf("%-10s %6s | %9s %17s %9s | %9s %9s\n", "mode", "N",
+              "exps/s", "[min, max]", "speedup", "converged",
+              "skipped");
+  const double mission_replay_rate = [&] {
+    db::Database database;
+    target::ThorRdTarget target;
+    const bench::CampaignRun run =
+        bench::RunCampaign(database, target, mission, false);
+    const double rate = Rate(run);
+    std::printf("%-10s %6zu | %9.1f %17s %9s | %9s %9s\n", "replay",
+                run.summary.experiments_run, rate, "", "1.00x", "-", "-");
+    MissionRow(json, run, false, mission.checkpoint_stride)
+        .Field("experiments_per_sec", rate);
+    return rate;
+  }();
+  {
+    std::vector<double> rates;
+    bench::CampaignRun run;
+    for (int trial = 0; trial < kForkTrials; ++trial) {
+      db::Database database;
+      target::ThorRdTarget target;
+      run = bench::RunCampaign(database, target, mission, true);
+      rates.push_back(Rate(run));
+    }
+    const Spread spread = SpreadOf(rates);
+    const double converged_share =
+        Share(run.summary.experiments_converged, run.summary.experiments_run);
+    const double skipped_share =
+        Share(run.summary.converged_instructions_skipped,
+              run.summary.post_injection_instructions_total);
+    std::printf(
+        "%-10s %6zu | %9.1f [%7.1f, %7.1f] %8.2fx | %8.1f%% %8.1f%%\n",
+        "fork", run.summary.experiments_run, spread.median, spread.min,
+        spread.max, spread.median / mission_replay_rate,
+        100.0 * converged_share, 100.0 * skipped_share);
+    AddSpread(MissionRow(json, run, true, mission.checkpoint_stride), spread)
+        .Field("converged_share", converged_share)
+        .Field("post_injection_instructions_skipped_share", skipped_share)
+        .Field("boundary_compare_us", BoundaryCompareMicros(mission));
+  }
+  std::printf(
+      "\nA forked run compares its state with the golden snapshot at each\n"
+      "boundary after its injection (CPU, caches, logs, environment, and\n"
+      "memory modulo words the golden run overwrites before reading);\n"
+      "tests/core/convergence_shadow_test.cpp proves the logged rows are\n"
+      "the replay's.\n");
   json.Write();
   return 0;
 }

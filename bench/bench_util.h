@@ -7,10 +7,12 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/goofi.h"
+#include "git_sha.h"
 #include "util/strings.h"
 
 namespace goofi::bench {
@@ -80,7 +82,8 @@ inline CampaignRun RunCampaign(db::Database& database,
 // Accumulates flat entries and writes BENCH_<name>.json in the working
 // directory, so CI and EXPERIMENTS.md consume the same numbers the bench
 // prints. Values are pre-rendered JSON tokens; the overloads cover every
-// type the benches report.
+// type the benches report. Every report records the host's hardware
+// threads, the build type and the git sha of the sources it measured.
 class BenchJson {
  public:
   explicit BenchJson(std::string name) : name_(std::move(name)) {}
@@ -111,8 +114,13 @@ class BenchJson {
   void Write() const {
     const std::string path = "BENCH_" + name_ + ".json";
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    std::string text = "{\n  \"bench\": \"" + Escaped(name_) +
-                       "\",\n  \"entries\": [\n";
+    std::string text =
+        "{\n  \"bench\": \"" + Escaped(name_) + "\",\n" +
+        StrFormat("  \"hardware_threads\": %u,\n",
+                  std::thread::hardware_concurrency()) +
+        "  \"build_type\": \"" GOOFI_BUILD_TYPE "\",\n"
+        "  \"git_sha\": \"" GOOFI_GIT_SHA "\",\n"
+        "  \"entries\": [\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       text += "    {";
       for (std::size_t f = 0; f < entries_[i].size(); ++f) {

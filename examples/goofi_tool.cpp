@@ -241,21 +241,30 @@ int CmdRun(const Arguments& arguments, bool resume) {
                 summary->targets_quarantined);
   }
   if (summary->checkpoint_forks > 0) {
+    auto percent = [](std::uint64_t part, std::uint64_t whole) {
+      return whole > 0 ? 100.0 * static_cast<double>(part) /
+                             static_cast<double>(whole)
+                       : 0.0;
+    };
     std::printf("checkpoint-fork: %zu checkpoints recorded, %zu/%zu "
                 "experiments forked, %llu of %llu pre-trigger instructions "
-                "skipped (%.1f%%)\n",
+                "skipped (%.1f%%), %zu converged, %llu of %llu "
+                "post-injection instructions skipped (%.1f%%)\n",
                 summary->checkpoints_recorded, summary->checkpoint_forks,
                 summary->experiments_run,
                 static_cast<unsigned long long>(
                     summary->instructions_skipped),
                 static_cast<unsigned long long>(
                     summary->trigger_instructions_total),
-                summary->trigger_instructions_total > 0
-                    ? 100.0 * static_cast<double>(
-                                  summary->instructions_skipped) /
-                          static_cast<double>(
-                              summary->trigger_instructions_total)
-                    : 0.0);
+                percent(summary->instructions_skipped,
+                        summary->trigger_instructions_total),
+                summary->experiments_converged,
+                static_cast<unsigned long long>(
+                    summary->converged_instructions_skipped),
+                static_cast<unsigned long long>(
+                    summary->post_injection_instructions_total),
+                percent(summary->converged_instructions_skipped,
+                        summary->post_injection_instructions_total));
   }
   if (flaky_script != nullptr) {
     std::printf("flaky script: %llu faults + %llu hangs injected\n",

@@ -6,12 +6,15 @@
 namespace goofi::core {
 
 void CheckpointStore::Add(sim::Snapshot snapshot) {
+  Add(std::make_shared<const sim::Snapshot>(std::move(snapshot)));
+}
+
+void CheckpointStore::Add(std::shared_ptr<const sim::Snapshot> snapshot) {
   if (!snapshots_.empty() &&
-      snapshots_.back()->instret >= snapshot.instret) {
+      snapshots_.back()->instret >= snapshot->instret) {
     return;
   }
-  snapshots_.push_back(
-      std::make_shared<const sim::Snapshot>(std::move(snapshot)));
+  snapshots_.push_back(std::move(snapshot));
 }
 
 std::shared_ptr<const sim::Snapshot> CheckpointStore::NearestAtOrBelow(

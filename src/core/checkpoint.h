@@ -23,6 +23,7 @@ class CheckpointStore {
   // Snapshots must arrive in increasing instret order (the recording
   // loop produces them that way); duplicates of an instret are ignored.
   void Add(sim::Snapshot snapshot);
+  void Add(std::shared_ptr<const sim::Snapshot> snapshot);
 
   bool empty() const { return snapshots_.empty(); }
   std::size_t size() const { return snapshots_.size(); }

@@ -328,7 +328,7 @@ Result<PreparedCampaign> PrepareCampaignRun(
       checkpoint_requested &&
       CheckpointForkBlockers(prepared.config).empty() &&
       reference_target->SupportsCheckpointFork();
-  std::vector<sim::Snapshot> recorded_checkpoints;
+  target::GoldenRun golden;
   if (checkpoint_eligible) {
     // Default stride: a tenth of the effective tool-level instruction
     // budget.
@@ -338,17 +338,23 @@ Result<PreparedCampaign> PrepareCampaignRun(
           prepared.config.termination, workload.termination);
       stride = std::max<std::uint64_t>(1, budget / 10);
     }
-    reference_target->set_checkpoint_recording(stride, &recorded_checkpoints);
+    golden.stride = stride;
+    reference_target->set_checkpoint_recording(stride, &golden);
   }
   RETURN_IF_ERROR(reference_target->MakeReferenceRun());
   reference_target->set_checkpoint_recording(0, nullptr);
   reference_target->set_external_tracer(nullptr);
-  for (sim::Snapshot& snapshot : recorded_checkpoints) {
-    prepared.checkpoints.Add(std::move(snapshot));
+  for (const target::GoldenRun::Boundary& boundary : golden.boundaries) {
+    prepared.checkpoints.Add(boundary.snapshot);
   }
   prepared.checkpoint_fork = !prepared.checkpoints.empty();
   prepared.summary.checkpoints_recorded = prepared.checkpoints.size();
   prepared.summary.reference = reference_target->TakeObservation();
+  if (prepared.checkpoint_fork) {
+    golden.final_observation = prepared.summary.reference;
+    prepared.golden_run =
+        std::make_shared<const target::GoldenRun>(std::move(golden));
+  }
   prepared.summary.reference_experiment = reference_spec.name;
   const db::Table* logged = database.FindTable(kLoggedSystemStateTable);
   const bool reference_logged =
@@ -512,6 +518,9 @@ struct ExperimentResult {
   bool forked = false;
   std::uint64_t instructions_skipped = 0;  // the fork's checkpoint instret
   std::uint64_t trigger_instructions = 0;  // instret triggers only
+  // Convergence telemetry (target::TargetSystemInterface::Convergence).
+  bool converged = false;
+  std::uint64_t converged_instructions_skipped = 0;
 };
 
 // What every executor of one run shares, read-only.
@@ -571,10 +580,14 @@ class ExperimentExecutor {
                      RunSupervisedExperiment(slot_, result.spec, *plan.config,
                                              context_.policy,
                                              context_.factory,
-                                             std::move(start_snapshot)));
+                                             std::move(start_snapshot),
+                                             plan.golden_run));
     result.disposition = std::move(outcome.disposition);
     if (result.disposition.completed()) {
       result.observation = std::move(outcome.observation);
+      result.converged = outcome.convergence.converged;
+      result.converged_instructions_skipped =
+          outcome.convergence.instructions_skipped;
     }
     return result;
   }
@@ -634,6 +647,14 @@ class CampaignWriter {
     if (result.forked) ++summary_.checkpoint_forks;
     summary_.instructions_skipped += result.instructions_skipped;
     summary_.trigger_instructions_total += result.trigger_instructions;
+    if (result.forked && completed &&
+        result.observation.instructions > result.trigger_instructions) {
+      summary_.post_injection_instructions_total +=
+          result.observation.instructions - result.trigger_instructions;
+    }
+    summary_.experiments_converged += result.converged;
+    summary_.converged_instructions_skipped +=
+        result.converged_instructions_skipped;
 
     ++info_.experiments_done;
     info_.experiment_retries = summary_.experiment_retries;

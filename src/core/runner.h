@@ -134,6 +134,14 @@ struct CampaignSummary {
   std::size_t checkpoint_forks = 0;
   std::uint64_t instructions_skipped = 0;
   std::uint64_t trigger_instructions_total = 0;
+  // Convergence (telemetry only): forked experiments that rejoined the
+  // golden run at a checkpoint boundary and took its outcome, the
+  // post-injection instructions they therefore did not simulate, and
+  // the post-injection instructions all completed experiments would
+  // have simulated without it.
+  std::size_t experiments_converged = 0;
+  std::uint64_t converged_instructions_skipped = 0;
+  std::uint64_t post_injection_instructions_total = 0;
   // Equivalence-partitioning totals (`static_analysis = equivalence`):
   // distinct classes the plan's draws fell into, planned experiments
   // that were logged as duplicates of an earlier representative (no
@@ -182,6 +190,9 @@ struct ExperimentPlan {
   // experiment from reset). Read-only during the run, like the rest of
   // the plan; workers front it with their own CheckpointCache.
   const CheckpointStore* checkpoints = nullptr;
+  // The golden run those checkpoints belong to, handed to every forked
+  // experiment's target so it can stop once it rejoins the golden run.
+  std::shared_ptr<const target::GoldenRun> golden_run;
   // Per-experiment equivalence verdicts, index-aligned with the plan
   // (null = equivalence mode off). When set, SampleExperimentSpec pins
   // each experiment's trigger to its class's canonical time.
@@ -250,8 +261,11 @@ struct PreparedCampaign {
   // runner override forces it) AND the campaign is eligible: instret
   // triggers, normal logging, not pre-runtime SWIFI, and a target that
   // supports snapshot fork. Ineligible campaigns silently replay from
-  // reset; the logged database is identical either way.
+  // reset; the logged database is identical either way. `golden_run`
+  // holds the same snapshots with their memory read-ahead sets and the
+  // final observation, for convergence.
   CheckpointStore checkpoints;
+  std::shared_ptr<const target::GoldenRun> golden_run;
   bool checkpoint_fork = false;
   // Equivalence-mode planning (static_analysis = equivalence): one
   // verdict per planned experiment, in plan order. Empty when the mode
@@ -269,6 +283,7 @@ struct PreparedCampaign {
     plan.window_hi = window_hi;
     plan.preinjection = use_preinjection ? &def_use : nullptr;
     plan.checkpoints = checkpoint_fork ? &checkpoints : nullptr;
+    plan.golden_run = checkpoint_fork ? golden_run : nullptr;
     plan.equivalence =
         config.static_analysis == StaticAnalysis::kEquivalence ? &equivalence
                                                                : nullptr;

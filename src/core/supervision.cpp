@@ -168,7 +168,8 @@ Result<SupervisedOutcome> RunSupervisedExperiment(
     TargetSlot& slot, const target::ExperimentSpec& spec,
     const CampaignConfig& config, const SupervisionPolicy& policy,
     const target::TargetFactory& factory,
-    std::shared_ptr<const sim::Snapshot> start_snapshot) {
+    std::shared_ptr<const sim::Snapshot> start_snapshot,
+    std::shared_ptr<const target::GoldenRun> golden_run) {
   SupervisedOutcome outcome;
   for (std::uint32_t attempt = 1;; ++attempt) {
     outcome.disposition.attempts = attempt;
@@ -181,6 +182,7 @@ Result<SupervisedOutcome> RunSupervisedExperiment(
     // Re-installed per attempt: a quarantine replacement minted below
     // must fork from the same checkpoint as the instance it replaces.
     target->set_start_snapshot(start_snapshot);
+    target->set_golden_run(golden_run);
     const AttemptResult result = RunAttemptWithDeadline(
         slot, policy.experiment_timeout_ms);
 
@@ -188,6 +190,7 @@ Result<SupervisedOutcome> RunSupervisedExperiment(
       case AttemptResult::Kind::kCompleted:
         outcome.disposition.tool_status = kToolStatusOk;
         outcome.observation = target->TakeObservation();
+        outcome.convergence = target->convergence();
         outcome.last_error = Status::Ok();
         return outcome;
       case AttemptResult::Kind::kFatal:

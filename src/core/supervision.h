@@ -122,6 +122,7 @@ struct SupervisedOutcome {
   ExperimentDisposition disposition;
   // Valid only when disposition.completed().
   target::Observation observation;
+  target::TargetSystemInterface::Convergence convergence;
   // The final attempt's error for an abandoned experiment (OK when
   // completed); recorded for diagnostics, never fatal to the campaign.
   Status last_error = Status::Ok();
@@ -144,11 +145,14 @@ struct SupervisedOutcome {
 // installed on the target before *every* attempt — including on a
 // freshly minted quarantine replacement — so retried runs fork from the
 // same golden checkpoint as the first try. nullptr runs from reset.
+// `golden_run`, installed beside it, lets a forked run stop once it
+// rejoins the golden run.
 Result<SupervisedOutcome> RunSupervisedExperiment(
     TargetSlot& slot, const target::ExperimentSpec& spec,
     const CampaignConfig& config, const SupervisionPolicy& policy,
     const target::TargetFactory& factory,
-    std::shared_ptr<const sim::Snapshot> start_snapshot = nullptr);
+    std::shared_ptr<const sim::Snapshot> start_snapshot = nullptr,
+    std::shared_ptr<const target::GoldenRun> golden_run = nullptr);
 
 // ---- the reaper --------------------------------------------------------
 

@@ -134,6 +134,8 @@ class Cache {
   // RestoreState fails when the line shape does not match the geometry.
   CacheState CaptureState() const;
   Status RestoreState(const CacheState& state);
+  // Every array bit equals `state`'s; the statistics are not compared.
+  bool ArraysMatch(const CacheState& state) const;
 
  private:
   // Fills the line holding `address` from memory and returns the word.

@@ -121,6 +121,7 @@ class Cpu {
   int AddPostStepHook(PostStepHook hook);
   void RemovePostStepHook(int id);
   void ClearPostStepHooks();
+  bool has_post_step_hooks() const { return !hooks_.empty(); }
 
   // Reset architectural state (registers, pc, latches, caches, event
   // logs, counters). Memory contents are left alone: the loader fills
@@ -134,6 +135,15 @@ class Cpu {
   // or cache geometry differs from the captured one.
   CpuState CaptureState() const;
   Status RestoreState(const CpuState& state);
+
+  // Checkpoint fork's convergence test: equal to `state` in registers,
+  // latches, run counters, both cache arrays, the emitted words and the
+  // EDM log. Memory is left to Memory::DiffersOnlyWhere; the cache
+  // statistics are not compared. The first `emitted_from` emitted words
+  // are known to be equal (both runs forked from one snapshot) and are
+  // skipped. Compares in place.
+  bool MatchesExceptMemory(const CpuState& state,
+                           std::size_t emitted_from) const;
 
   // Execute one instruction (plus the prefetch of its successor).
   // The very first Step() after Reset performs the initial fetch.

@@ -41,6 +41,8 @@ struct EdmEvent {
   std::uint64_t time = 0;  // executed-instruction count when raised
   std::uint32_t pc = 0;
   std::string detail;
+
+  friend bool operator==(const EdmEvent&, const EdmEvent&) = default;
 };
 
 // Which mechanisms are armed. A disabled mechanism means the condition

@@ -172,4 +172,8 @@ void AccessPathInjector::RestoreState(const FaultInjectorState& state) {
   inflight_flips_ = state.inflight_flips;
 }
 
+bool AccessPathInjector::MatchesState(const FaultInjectorState& state) const {
+  return armed_ == state.armed && unit_accesses_ == state.unit_accesses;
+}
+
 }  // namespace goofi::sim

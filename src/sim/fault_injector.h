@@ -137,6 +137,10 @@ class AccessPathInjector : public FaultInjector {
   // mid-window forks into an identical continuation.
   FaultInjectorState CaptureState() const;
   void RestoreState(const FaultInjectorState& state);
+  // The armed faults and access counters equal `state`'s: the state
+  // that decides which later accesses a fault strikes. The applied and
+  // in-flight tallies are statistics and are not compared.
+  bool MatchesState(const FaultInjectorState& state) const;
 
  private:
   // Applies `fault` to the arrays of `cache` (or the in-flight mask for

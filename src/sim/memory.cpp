@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "sim/fault_injector.h"
+#include "sim/read_ahead.h"
 
 namespace goofi::sim {
 
@@ -59,6 +60,7 @@ MemFault Memory::ReadWord(std::uint32_t address, std::uint32_t* value,
   if (offset + 4 > backing->bytes.size()) return MemFault::kUnmapped;
   std::uint32_t out = 0;
   std::memcpy(&out, backing->bytes.data() + offset, 4);
+  if (read_ahead_ != nullptr) read_ahead_->OnRead(IndexOf(backing), offset / 4);
   if (injector_ != nullptr) {
     out ^= injector_->PreRead(MemUnit::kMainMemory, nullptr, address, kind);
   }
@@ -74,6 +76,9 @@ MemFault Memory::WriteWord(std::uint32_t address, std::uint32_t value) {
   const std::size_t offset = address - backing->segment.base;
   if (offset + 4 > backing->bytes.size()) return MemFault::kUnmapped;
   std::memcpy(backing->bytes.data() + offset, &value, 4);
+  if (read_ahead_ != nullptr) {
+    read_ahead_->OnWordStore(IndexOf(backing), offset / 4);
+  }
   if (injector_ != nullptr) {
     injector_->PostWrite(MemUnit::kMainMemory, nullptr, address, value);
   }
@@ -84,7 +89,9 @@ MemFault Memory::ReadByte(std::uint32_t address, std::uint8_t* value) const {
   const Backing* backing = FindBacking(address);
   if (backing == nullptr) return MemFault::kUnmapped;
   if (!backing->segment.readable) return MemFault::kProtection;
-  *value = backing->bytes[address - backing->segment.base];
+  const std::size_t offset = address - backing->segment.base;
+  if (read_ahead_ != nullptr) read_ahead_->OnRead(IndexOf(backing), offset / 4);
+  *value = backing->bytes[offset];
   return MemFault::kNone;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,8 +17,9 @@
 
 namespace goofi::sim {
 
-struct MemoryState;   // sim/snapshot.h
-class FaultInjector;  // sim/fault_injector.h
+struct MemoryState;        // sim/snapshot.h
+class FaultInjector;       // sim/fault_injector.h
+class ReadAheadRecorder;   // sim/read_ahead.h
 
 enum class MemFault {
   kNone = 0,
@@ -85,6 +87,21 @@ class Memory {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   FaultInjector* fault_injector() const { return injector_; }
 
+  // Main-memory access observer, attached only while the golden run
+  // records checkpoints (sim/read_ahead.h): ReadWord and ReadByte report
+  // the word they read, WriteWord the word it stored. nullptr detaches.
+  void set_read_ahead_recorder(ReadAheadRecorder* recorder) {
+    read_ahead_ = recorder;
+  }
+
+  // Checkpoint fork's convergence test: true when every 4-byte word in
+  // which this memory differs from `state` passes `may_differ(backing,
+  // word)` (backing index in mapping order, word index within it).
+  // Compares in place; the segment layout must match the captured one.
+  bool DiffersOnlyWhere(
+      const MemoryState& state,
+      const std::function<bool(std::size_t, std::size_t)>& may_differ) const;
+
   // Checkpoint support (sim/snapshot.h): capture/reinstate all segment
   // contents. RestoreState fails unless the segment layout (count and
   // sizes, in mapping order) matches the captured one.
@@ -112,8 +129,13 @@ class Memory {
   }
 
   std::vector<Segment> segments_;
+  std::size_t IndexOf(const Backing* backing) const {
+    return static_cast<std::size_t>(backing - backings_.data());
+  }
+
   std::vector<Backing> backings_;
   FaultInjector* injector_ = nullptr;
+  ReadAheadRecorder* read_ahead_ = nullptr;
 };
 
 }  // namespace goofi::sim

@@ -5,6 +5,7 @@
 #include "sim/snapshot.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/strings.h"
 
@@ -35,6 +36,18 @@ Status Cache::RestoreState(const CacheState& state) {
   return Status::Ok();
 }
 
+bool Cache::ArraysMatch(const CacheState& state) const {
+  for (std::size_t i = 0; i < lines_.size(); ++i) {
+    const CacheLine& live = lines_[i];
+    const CacheLine& golden = state.lines[i];
+    if (live.valid != golden.valid || live.tag != golden.tag ||
+        live.words != golden.words || live.parity != golden.parity) {
+      return false;
+    }
+  }
+  return true;
+}
+
 MemoryState Memory::CaptureState() const {
   MemoryState state;
   state.backings.reserve(backings_.size());
@@ -62,6 +75,34 @@ Status Memory::RestoreState(const MemoryState& state) {
     backings_[i].bytes = state.backings[i];
   }
   return Status::Ok();
+}
+
+bool Memory::DiffersOnlyWhere(
+    const MemoryState& state,
+    const std::function<bool(std::size_t, std::size_t)>& may_differ) const {
+  // Equal blocks are skipped with one memcmp each; only a differing
+  // block is walked word by word.
+  constexpr std::size_t kBlock = 256;
+  for (std::size_t b = 0; b < backings_.size(); ++b) {
+    const std::vector<std::uint8_t>& live = backings_[b].bytes;
+    const std::vector<std::uint8_t>& golden = state.backings[b];
+    for (std::size_t block = 0; block < live.size(); block += kBlock) {
+      const std::size_t end = std::min(live.size(), block + kBlock);
+      if (std::memcmp(live.data() + block, golden.data() + block,
+                      end - block) == 0) {
+        continue;
+      }
+      for (std::size_t word = block; word < end; word += 4) {
+        const std::size_t length = std::min<std::size_t>(4, end - word);
+        if (std::memcmp(live.data() + word, golden.data() + word, length) !=
+                0 &&
+            !may_differ(b, word / 4)) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
 }
 
 CpuState Cpu::CaptureState() const {
@@ -105,6 +146,26 @@ Status Cpu::RestoreState(const CpuState& state) {
   emitted_ = state.emitted;
   edm_events_ = state.edm_events;
   return Status::Ok();
+}
+
+bool Cpu::MatchesExceptMemory(const CpuState& state,
+                              std::size_t emitted_from) const {
+  emitted_from = std::min(emitted_from, emitted_.size());
+  return std::equal(std::begin(regs_), std::end(regs_),
+                    state.regs.begin()) &&
+         pc_ == state.pc && ir_ == state.ir && mar_ == state.mar &&
+         mdr_ == state.mdr && wdt_ == state.wdt &&
+         ir_valid_ == state.ir_valid && halted_ == state.halted &&
+         instret_ == state.instret && iterations_ == state.iterations &&
+         recoveries_ == state.recoveries &&
+         emitted_.size() == state.emitted.size() &&
+         std::equal(emitted_.begin() +
+                        static_cast<std::ptrdiff_t>(emitted_from),
+                    emitted_.end(),
+                    state.emitted.begin() +
+                        static_cast<std::ptrdiff_t>(emitted_from)) &&
+         edm_events_ == state.edm_events && icache_.ArraysMatch(state.icache) &&
+         dcache_.ArraysMatch(state.dcache);
 }
 
 TapControllerState TapController::CaptureState() const {

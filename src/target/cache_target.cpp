@@ -164,6 +164,11 @@ Status CacheHierarchyTarget::RestoreSnapshot(
   return Status::Ok();
 }
 
+bool CacheHierarchyTarget::ExtraStateMatches(
+    const sim::Snapshot& golden) const {
+  return golden.injector.has_value() && injector_.MatchesState(*golden.injector);
+}
+
 Status CacheHierarchyTarget::ArmCacheFault(ArmedCacheFault coordinate,
                                            const FaultTarget& fault) {
   const sim::Cache& cache = coordinate.unit == MemUnit::kIcache

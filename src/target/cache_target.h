@@ -74,6 +74,9 @@ class CacheHierarchyTarget : public ThorRdTarget {
   // Arms access-path coordinates; every other location takes the base
   // target's dispatch.
   Status InjectFaultTarget(const FaultTarget& fault) override;
+  // A run converges only once its armed faults and access counters are
+  // the golden run's.
+  bool ExtraStateMatches(const sim::Snapshot& golden) const override;
 
  private:
   Status ArmCacheFault(sim::ArmedCacheFault coordinate,

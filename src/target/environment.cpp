@@ -117,6 +117,20 @@ Status EngineEnvironment::RestoreState(
   return Status::Ok();
 }
 
+bool EngineEnvironment::MatchesState(const std::vector<std::uint8_t>& blob,
+                                     std::size_t outputs_from) const {
+  if (blob.size() != 24 + 8 * outputs_.size() ||
+      ReadWord64(blob, 0) != static_cast<std::uint64_t>(
+                                 static_cast<std::int64_t>(speed_)) ||
+      ReadWord64(blob, 8) != step_ || ReadWord64(blob, 16) != outputs_.size()) {
+    return false;
+  }
+  for (std::size_t i = outputs_from; i < outputs_.size(); ++i) {
+    if (ReadWord64(blob, 24 + 8 * i) != outputs_[i]) return false;
+  }
+  return true;
+}
+
 Result<std::unique_ptr<Environment>> MakeEnvironment(
     const std::string& name) {
   if (name == "engine") {

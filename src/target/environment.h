@@ -43,6 +43,16 @@ class Environment {
   // no-op; stateful models must override both.
   virtual std::vector<std::uint8_t> CaptureState() const { return {}; }
   virtual Status RestoreState(const std::vector<std::uint8_t>& blob);
+
+  // Checkpoint fork's convergence test: the live plant equals the one
+  // `blob` (a CaptureState result) describes, compared in place. The
+  // first `outputs_from` outputs are known to be equal (both runs
+  // forked from one snapshot) and are skipped.
+  virtual bool MatchesState(const std::vector<std::uint8_t>& blob,
+                            std::size_t outputs_from) const {
+    (void)outputs_from;
+    return blob.empty();
+  }
 };
 
 // First-order jet-engine model for the engine_control workloads: the
@@ -61,6 +71,8 @@ class EngineEnvironment : public Environment {
 
   std::vector<std::uint8_t> CaptureState() const override;
   Status RestoreState(const std::vector<std::uint8_t>& blob) override;
+  bool MatchesState(const std::vector<std::uint8_t>& blob,
+                    std::size_t outputs_from) const override;
 
  private:
   std::int32_t speed_ = 0;

@@ -18,6 +18,7 @@
 
 #include "sim/snapshot.h"
 #include "sim/tracer.h"
+#include "target/golden_run.h"
 #include "target/target_types.h"
 #include "target/workloads.h"
 #include "util/status.h"
@@ -114,11 +115,12 @@ class TargetSystemInterface {
   virtual Result<sim::Snapshot> CaptureSnapshot();
   virtual Status RestoreSnapshot(const sim::Snapshot& snapshot);
 
-  // Record a snapshot into `sink` at instruction 0 and then at every
+  // Record a boundary into `sink` at instruction 0 and then at every
   // multiple of `stride` during MakeReferenceRun. A null sink or zero
-  // stride disables recording (the default).
+  // stride disables recording (the default). The caller fills in the
+  // stride and the final observation.
   virtual void set_checkpoint_recording(std::uint64_t stride,
-                                        std::vector<sim::Snapshot>* sink) {
+                                        GoldenRun* sink) {
     checkpoint_stride_ = stride;
     checkpoint_sink_ = sink;
   }
@@ -133,6 +135,22 @@ class TargetSystemInterface {
   const sim::Snapshot* start_snapshot() const {
     return start_snapshot_.get();
   }
+
+  // The golden run the start snapshot came from (nullptr: none). A
+  // target that supports convergence stops a forked run once it rejoins
+  // the golden run (target/golden_run.h); others ignore it.
+  virtual void set_golden_run(std::shared_ptr<const GoldenRun> golden) {
+    golden_run_ = std::move(golden);
+  }
+
+  // Telemetry of the last run, never part of its Observation: whether it
+  // rejoined the golden run, and the post-injection instructions it
+  // therefore did not simulate.
+  struct Convergence {
+    bool converged = false;
+    std::uint64_t instructions_skipped = 0;
+  };
+  virtual Convergence convergence() const { return convergence_; }
 
  protected:
   // ------------------------------------------------------------------
@@ -158,7 +176,9 @@ class TargetSystemInterface {
   sim::Tracer* external_tracer_ = nullptr;
   std::shared_ptr<const sim::Snapshot> start_snapshot_;
   std::uint64_t checkpoint_stride_ = 0;
-  std::vector<sim::Snapshot>* checkpoint_sink_ = nullptr;
+  GoldenRun* checkpoint_sink_ = nullptr;
+  std::shared_ptr<const GoldenRun> golden_run_;
+  Convergence convergence_;
 };
 
 // Which locations a technique can physically inject into:

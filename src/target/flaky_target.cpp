@@ -74,14 +74,18 @@ class FlakyTarget : public TargetSystemInterface {
   Status RestoreSnapshot(const sim::Snapshot& snapshot) override {
     return inner_->RestoreSnapshot(snapshot);
   }
-  void set_checkpoint_recording(
-      std::uint64_t stride, std::vector<sim::Snapshot>* sink) override {
+  void set_checkpoint_recording(std::uint64_t stride,
+                                GoldenRun* sink) override {
     inner_->set_checkpoint_recording(stride, sink);
   }
   void set_start_snapshot(
       std::shared_ptr<const sim::Snapshot> snapshot) override {
     inner_->set_start_snapshot(std::move(snapshot));
   }
+  void set_golden_run(std::shared_ptr<const GoldenRun> golden) override {
+    inner_->set_golden_run(std::move(golden));
+  }
+  Convergence convergence() const override { return inner_->convergence(); }
 
  protected:
   // Never reached: the public template methods above forward to the

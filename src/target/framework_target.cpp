@@ -212,7 +212,8 @@ Status FrameworkTarget::MakeReferenceRun() {
   RETURN_IF_ERROR(runWorkload());
   {
     ASSIGN_OR_RETURN(sim::Snapshot boot, CaptureSnapshot());
-    checkpoint_sink_->push_back(std::move(boot));
+    checkpoint_sink_->boundaries.push_back(
+        {std::make_shared<const sim::Snapshot>(std::move(boot)), {}});
   }
   for (;;) {
     const std::uint64_t boundary =
@@ -221,7 +222,8 @@ Status FrameworkTarget::MakeReferenceRun() {
     StepUntil(boundary);
     if (detected_) break;
     ASSIGN_OR_RETURN(sim::Snapshot snapshot, CaptureSnapshot());
-    checkpoint_sink_->push_back(std::move(snapshot));
+    checkpoint_sink_->boundaries.push_back(
+        {std::make_shared<const sim::Snapshot>(std::move(snapshot)), {}});
   }
   RETURN_IF_ERROR(waitForTermination());
   RETURN_IF_ERROR(readMemory());

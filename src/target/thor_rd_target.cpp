@@ -181,12 +181,9 @@ Status ThorRdTarget::RestoreSnapshot(const sim::Snapshot& snapshot) {
   return Status::Ok();
 }
 
-Status ThorRdTarget::RunToTerminationRecordingCheckpoints() {
+Result<bool> ThorRdTarget::RunInStrides(
+    std::uint64_t stride, const std::function<Result<bool>()>& at_boundary) {
   const EffectiveTermination term = ResolveTermination();
-  {
-    ASSIGN_OR_RETURN(sim::Snapshot boot, CaptureSnapshot());
-    checkpoint_sink_->push_back(std::move(boot));
-  }
   for (;;) {
     const std::uint64_t remaining = RemainingBudget(term);
     if (remaining == 0) {
@@ -196,25 +193,87 @@ Status ThorRdTarget::RunToTerminationRecordingCheckpoints() {
       result.reason = sim::StopReason::kBudgetExhausted;
       result.instructions_executed = 0;
       FinishRun(result);
-      return Status::Ok();
+      return false;
     }
-    const std::uint64_t instret = card_.cpu().instret();
     const std::uint64_t to_boundary =
-        checkpoint_stride_ - instret % checkpoint_stride_;
+        stride - card_.cpu().instret() % stride;
     const sim::RunResult result =
         card_.Run(std::min(remaining, to_boundary), term.max_iterations,
                   IterationCallback());
-    if (result.reason != sim::StopReason::kBudgetExhausted) {
+    if (result.reason != sim::StopReason::kBudgetExhausted ||
+        RemainingBudget(term) == 0) {
       FinishRun(result);
-      return Status::Ok();
+      return false;
     }
-    if (RemainingBudget(term) == 0) {
-      FinishRun(result);
-      return Status::Ok();
-    }
-    ASSIGN_OR_RETURN(sim::Snapshot snapshot, CaptureSnapshot());
-    checkpoint_sink_->push_back(std::move(snapshot));
+    ASSIGN_OR_RETURN(const bool stop, at_boundary());
+    if (stop) return true;
   }
+}
+
+Status ThorRdTarget::RunToTerminationRecordingCheckpoints() {
+  sim::Memory& memory = card_.cpu().memory();
+  sim::ReadAheadRecorder reads(memory);
+  const std::size_t first = checkpoint_sink_->boundaries.size();
+  auto record = [&]() -> Result<bool> {
+    ASSIGN_OR_RETURN(sim::Snapshot snapshot, CaptureSnapshot());
+    checkpoint_sink_->boundaries.push_back(
+        {std::make_shared<const sim::Snapshot>(std::move(snapshot)), {}});
+    reads.MarkBoundary();
+    return false;
+  };
+  Result<bool> ran = record();
+  if (ran.ok()) {
+    memory.set_read_ahead_recorder(&reads);
+    ran = RunInStrides(checkpoint_stride_, record);
+    memory.set_read_ahead_recorder(nullptr);
+  }
+  RETURN_IF_ERROR(ran.status());
+  std::vector<sim::MemoryWordSet> sets = reads.Finish();
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    checkpoint_sink_->boundaries[first + i].reads_ahead = std::move(sets[i]);
+  }
+  return Status::Ok();
+}
+
+bool ThorRdTarget::MayConverge() const {
+  return golden_run_ != nullptr && start_snapshot_ != nullptr &&
+         golden_run_->stride != 0 &&
+         spec_.model.kind == FaultModel::Kind::kTransientBitFlip &&
+         logging_mode_ == LoggingMode::kNormal &&
+         external_tracer_ == nullptr && !card_.cpu().has_post_step_hooks();
+}
+
+bool ThorRdTarget::MatchesGoldenAt(const GoldenRun::Boundary& boundary) const {
+  const sim::Snapshot& golden = *boundary.snapshot;
+  const sim::Cpu& cpu = card_.cpu();
+  if (!golden.cpu.has_value() || boundary.reads_ahead.backings.empty() ||
+      !cpu.MatchesExceptMemory(*golden.cpu, fork_emitted_)) {
+    return false;
+  }
+  if (environment_ != nullptr) {
+    const auto blob = golden.extras.find("environment");
+    if (blob == golden.extras.end() ||
+        !environment_->MatchesState(blob->second, fork_env_outputs_)) {
+      return false;
+    }
+  }
+  if (!ExtraStateMatches(golden)) return false;
+  // A word may still differ when no observation reads it — outside the
+  // output region the final dump reads and the IO page the environment
+  // reads — and the golden run does not read it from memory before it
+  // next stores to it.
+  const std::vector<sim::Segment>& segments = cpu.memory().segments();
+  const std::uint64_t output_lo = workload_.output_base;
+  const std::uint64_t output_hi = output_lo + workload_.output_length;
+  return cpu.memory().DiffersOnlyWhere(
+      golden.cpu->memory, [&](std::size_t backing, std::size_t word) {
+        const std::uint64_t address =
+            segments[backing].base + std::uint64_t{4} * word;
+        const bool observed =
+            (address < output_hi && address + 4 > output_lo) ||
+            (address >= kIoBase && address < std::uint64_t{kIoBase} + kIoSize);
+        return !observed && !boundary.reads_ahead.Contains(backing, word);
+      });
 }
 
 Status ThorRdTarget::MakeReferenceRun() {
@@ -246,6 +305,9 @@ Status ThorRdTarget::initTestCard() {
   scan_images_.clear();
   breakpoint_hit_ = false;
   run_finished_ = false;
+  convergence_ = Convergence{};
+  fork_emitted_ = 0;
+  fork_env_outputs_ = 0;
   link_retry_baseline_ = card_.link_stats().words_retried;
   return Status::Ok();
 }
@@ -276,6 +338,10 @@ Status ThorRdTarget::runWorkload() {
     // debug unit and post-step hooks were already cleared by
     // initTestCard, matching a replay's state at the same instruction.
     RETURN_IF_ERROR(RestoreSnapshot(*start_snapshot_));
+    fork_emitted_ = card_.cpu().emitted().size();
+    if (environment_ != nullptr) {
+      fork_env_outputs_ = environment_->outputs().size();
+    }
   } else {
     card_.ResetTarget(assembled_->entry);
     if (environment_ != nullptr) {
@@ -312,6 +378,8 @@ Status ThorRdTarget::waitForBreakpoint() {
 }
 
 Status ThorRdTarget::readScanChain() {
+  // A converged run already holds the golden run's final chain images.
+  if (convergence_.converged) return Status::Ok();
   for (const sim::ScanChain& chain : card_.chains().chains) {
     ASSIGN_OR_RETURN(BitVector image, card_.ReadChain(chain.name()));
     scan_images_[chain.name()] = image;
@@ -364,20 +432,44 @@ Status ThorRdTarget::writeScanChain() {
 
 Status ThorRdTarget::waitForTermination() {
   if (run_finished_) return Status::Ok();
-  const EffectiveTermination term = ResolveTermination();
-  const sim::RunResult result = card_.Run(
-      RemainingBudget(term), term.max_iterations, IterationCallback());
-  FinishRun(result);
+  if (!MayConverge()) {
+    const EffectiveTermination term = ResolveTermination();
+    const sim::RunResult result = card_.Run(
+        RemainingBudget(term), term.max_iterations, IterationCallback());
+    FinishRun(result);
+    return Status::Ok();
+  }
+  // Run boundary to boundary; where the live state matches the golden
+  // snapshot, the rest of the run is the golden run's.
+  ASSIGN_OR_RETURN(
+      const bool converged,
+      RunInStrides(golden_run_->stride, [this]() -> Result<bool> {
+        const GoldenRun::Boundary* boundary =
+            golden_run_->At(card_.cpu().instret());
+        return boundary != nullptr && MatchesGoldenAt(*boundary);
+      }));
+  if (!converged) return Status::Ok();
+  const bool injected = observation_.fault_was_injected;
+  observation_ = golden_run_->final_observation;
+  observation_.fault_was_injected = injected;
+  convergence_.converged = true;
+  convergence_.instructions_skipped =
+      observation_.instructions - card_.cpu().instret();
+  run_finished_ = true;
   return Status::Ok();
 }
 
 Status ThorRdTarget::readMemory() {
-  if (workload_.output_length != 0) {
-    ASSIGN_OR_RETURN(
-        observation_.output_region,
-        card_.DumpMemory(workload_.output_base, workload_.output_length));
+  // A converged run already holds the golden run's output region and
+  // emitted words.
+  if (!convergence_.converged) {
+    if (workload_.output_length != 0) {
+      ASSIGN_OR_RETURN(
+          observation_.output_region,
+          card_.DumpMemory(workload_.output_base, workload_.output_length));
+    }
+    observation_.emitted = card_.cpu().emitted();
   }
-  observation_.emitted = card_.cpu().emitted();
   observation_.link_words_retried =
       card_.link_stats().words_retried - link_retry_baseline_;
   return Status::Ok();

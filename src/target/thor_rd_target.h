@@ -53,6 +53,12 @@ class ThorRdTarget : public TargetSystemInterface {
   // stride-sized chunks, capturing a snapshot at each stride boundary.
   Status MakeReferenceRun() override;
 
+  // Convergence's test at one golden boundary (target/golden_run.h):
+  // the live state equals the golden snapshot in everything compared,
+  // and every memory word that differs may differ. Public so benches
+  // can time it.
+  bool MatchesGoldenAt(const GoldenRun::Boundary& boundary) const;
+
  protected:
   Status initTestCard() override;
   Status loadWorkload() override;
@@ -70,6 +76,13 @@ class ThorRdTarget : public TargetSystemInterface {
   // targets intercept the locations they own (the cache hierarchy
   // target's access-path coordinates) and defer the rest here.
   virtual Status InjectFaultTarget(const FaultTarget& fault);
+
+  // The convergence test's part for state a derived target adds to its
+  // snapshots (the cache hierarchy target's armed access-path faults).
+  virtual bool ExtraStateMatches(const sim::Snapshot& golden) const {
+    (void)golden;
+    return true;
+  }
 
  private:
   // Apply one fault model instance to a scan element (directly on the
@@ -109,9 +122,20 @@ class ThorRdTarget : public TargetSystemInterface {
   std::uint64_t RemainingBudget(const EffectiveTermination& term) const;
   std::function<bool(sim::Cpu&)> IterationCallback();
   void FinishRun(const sim::RunResult& result);
+  // Runs to termination in chunks that end on multiples of `stride`.
+  // At each boundary reached with budget left, `at_boundary` returns
+  // true to stop the run there. Returns true when it did; otherwise the
+  // run finished and FinishRun recorded its outcome, exactly as one
+  // un-chunked run would have.
+  Result<bool> RunInStrides(std::uint64_t stride,
+                            const std::function<Result<bool>()>& at_boundary);
   // waitForTermination in checkpoint_stride_-sized chunks, recording a
-  // snapshot into checkpoint_sink_ at every stride boundary reached.
+  // snapshot and the memory read-ahead set into checkpoint_sink_ at
+  // instruction 0 and every stride boundary reached.
   Status RunToTerminationRecordingCheckpoints();
+  // Convergence: a forked transient-fault run under normal logging with
+  // no post-step hooks may stop where it rejoins the golden run.
+  bool MayConverge() const;
 
   void InstallModelHook(const sim::ScanElement* element,
                         std::uint32_t bit);
@@ -127,6 +151,10 @@ class ThorRdTarget : public TargetSystemInterface {
   std::map<std::string, BitVector> scan_images_;
   bool breakpoint_hit_ = false;
   bool run_finished_ = false;
+  // Emitted words and environment outputs at the fork: a prefix both
+  // the live run and every later golden boundary share.
+  std::size_t fork_emitted_ = 0;
+  std::size_t fork_env_outputs_ = 0;
   // The card's cumulative link-retry counter at initTestCard time;
   // readMemory records the per-run delta into the observation.
   std::uint64_t link_retry_baseline_ = 0;

@@ -8,7 +8,7 @@
 #
 #   equivalence_matrix_test.sh <goofi_tool> <campaigns dir> <row>
 #
-# Rows: regs_scifi, supervised, checkpoint, cache, equivalence,
+# Rows: regs_scifi, supervised, checkpoint, mission, cache, equivalence,
 # preinjection.
 set -eu
 
@@ -38,6 +38,12 @@ same() {
 forked() {
   grep -E 'checkpoint-fork: .* [1-9][0-9]*/[0-9]+ experiments forked' \
     "$1.log" || fail "$1: no experiment forked"
+}
+
+# Forked experiments that rejoined the golden run and stopped early.
+converged() {
+  grep -E 'checkpoint-fork: .*, [1-9][0-9]* converged' "$1.log" \
+    || fail "$1: no experiment converged"
 }
 
 case "$ROW" in
@@ -71,6 +77,20 @@ case "$ROW" in
     run regs_scifi_checkpoint replay --checkpoint off
     run regs_scifi_checkpoint jobs4 --jobs 4
     forked fork
+    converged fork
+    same fork replay
+    same fork jobs4
+    ;;
+  mission)
+    # Runtime SWIFI on a long engine mission: most forked experiments
+    # rejoin the golden run and stop early, and the bytes are those of
+    # full replay and of four workers.
+    run engine_mission fork
+    run engine_mission replay --checkpoint off
+    run engine_mission jobs4 --jobs 4
+    forked fork
+    converged fork
+    converged jobs4
     same fork replay
     same fork jobs4
     ;;
