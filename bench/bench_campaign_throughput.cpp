@@ -106,9 +106,10 @@ double BoundaryCompareMicros(const goofi::core::CampaignConfig& config) {
   spec.termination = config.termination;
   target.set_experiment(spec);
   target::GoldenRun golden;
-  target.set_checkpoint_recording(config.checkpoint_stride, &golden);
+  golden.stride = config.checkpoint_stride;
+  target.set_checkpoint_recording(&golden);
   if (!target.MakeReferenceRun().ok()) std::abort();
-  target.set_checkpoint_recording(0, nullptr);
+  target.set_checkpoint_recording(nullptr);
   constexpr int kRepeats = 20;
   std::vector<double> micros;
   for (std::size_t b = 1; b < golden.boundaries.size(); ++b) {

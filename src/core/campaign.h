@@ -114,7 +114,7 @@ struct CampaignConfig {
   // Base backoff before retry n: backoff * 2^(n-1), capped. 0 = none.
   std::uint64_t retry_backoff_ms = 0;
 
-  // ---- checkpoint-fork execution (core/checkpoint.h) --------------------
+  // ---- checkpoint-fork execution (target/golden_run.h) -----------------
   // Memoize the golden run as a series of snapshots and start each
   // experiment from the checkpoint nearest below its trigger instead of
   // replaying from reset. Results are bit-identical either way (the

@@ -203,7 +203,7 @@ std::vector<LintDiagnostic> LintCampaignText(
   }
   // A stride past the workload's tool-level instruction budget records
   // no checkpoint beyond the boot snapshot, silently degrading every
-  // fork to replay-from-reset (core/checkpoint.h).
+  // fork to replay-from-reset (target/golden_run.h).
   if (config.checkpoint_mode) {
     const std::uint64_t budget = target::EffectiveInstructionBudget(
         config.termination, workload_termination);

@@ -37,19 +37,6 @@ CampaignRunner::CampaignRunner(db::Database* database,
       target_factory_(std::move(factory)),
       jobs_(std::max<std::size_t>(1, jobs)) {}
 
-Result<target::WorkloadSpec> ConfigureTargetWorkload(
-    const CampaignConfig& config, target::TargetSystemInterface* target) {
-  if (config.target != target->target_name()) {
-    return FailedPreconditionError(
-        "campaign '" + config.name + "' is for target '" + config.target +
-        "' but the runner holds '" + target->target_name() + "'");
-  }
-  ASSIGN_OR_RETURN(target::WorkloadSpec workload,
-                   target::GetBuiltinWorkload(config.workload));
-  RETURN_IF_ERROR(target->SetWorkload(workload));
-  return workload;
-}
-
 Status LogExperimentObservation(db::Database& database,
                                 const std::string& experiment_name,
                                 const std::string& parent,
@@ -308,6 +295,9 @@ Result<PreparedCampaign> PrepareCampaignRun(
   reference_spec.termination = prepared.config.termination;
   reference_target->set_experiment(reference_spec);
   reference_target->set_logging_mode(prepared.config.logging_mode);
+  // A caller's target may still hold its last campaign's fork state.
+  reference_target->set_start_snapshot(nullptr);
+  reference_target->set_golden_run(nullptr);
 
   sim::AccessRecorder recorder;
   if (prepared.config.use_preinjection_analysis || use_equivalence) {
@@ -332,25 +322,21 @@ Result<PreparedCampaign> PrepareCampaignRun(
   if (checkpoint_eligible) {
     // Default stride: a tenth of the effective tool-level instruction
     // budget.
-    std::uint64_t stride = prepared.config.checkpoint_stride;
-    if (stride == 0) {
+    golden.stride = prepared.config.checkpoint_stride;
+    if (golden.stride == 0) {
       const std::uint64_t budget = target::EffectiveInstructionBudget(
           prepared.config.termination, workload.termination);
-      stride = std::max<std::uint64_t>(1, budget / 10);
+      golden.stride = std::max<std::uint64_t>(1, budget / 10);
     }
-    golden.stride = stride;
-    reference_target->set_checkpoint_recording(stride, &golden);
+    reference_target->set_checkpoint_recording(&golden);
   }
-  RETURN_IF_ERROR(reference_target->MakeReferenceRun());
-  reference_target->set_checkpoint_recording(0, nullptr);
+  const Status reference_ran = reference_target->MakeReferenceRun();
+  reference_target->set_checkpoint_recording(nullptr);
   reference_target->set_external_tracer(nullptr);
-  for (const target::GoldenRun::Boundary& boundary : golden.boundaries) {
-    prepared.checkpoints.Add(boundary.snapshot);
-  }
-  prepared.checkpoint_fork = !prepared.checkpoints.empty();
-  prepared.summary.checkpoints_recorded = prepared.checkpoints.size();
+  RETURN_IF_ERROR(reference_ran);
   prepared.summary.reference = reference_target->TakeObservation();
-  if (prepared.checkpoint_fork) {
+  if (!golden.boundaries.empty()) {
+    prepared.summary.checkpoints_recorded = golden.boundaries.size();
     golden.final_observation = prepared.summary.reference;
     prepared.golden_run =
         std::make_shared<const target::GoldenRun>(std::move(golden));
@@ -535,9 +521,7 @@ struct ExecutionContext {
 class ExperimentExecutor {
  public:
   ExperimentExecutor(const ExecutionContext& context, TargetSlot slot)
-      : context_(context),
-        slot_(std::move(slot)),
-        fork_cache_(context.plan.checkpoints) {}
+      : context_(context), slot_(std::move(slot)) {}
 
   // A non-ok Result is campaign-fatal. Retryable tool-level failures
   // (hang, target fault, transport error) are consumed by supervision
@@ -563,18 +547,20 @@ class ExperimentExecutor {
     std::shared_ptr<const sim::Snapshot> start_snapshot;
     if (result.spec.trigger.kind == sim::Breakpoint::Kind::kInstretReached) {
       result.trigger_instructions = result.spec.trigger.count;
-      start_snapshot = fork_cache_.ForTrigger(result.spec.trigger.count);
-      if (start_snapshot != nullptr) {
+      const target::GoldenRun::Boundary* fork =
+          plan.golden_run != nullptr
+              ? plan.golden_run->AtOrBelow(result.spec.trigger.count)
+              : nullptr;
+      if (fork != nullptr) {
+        start_snapshot = fork->snapshot;
         result.forked = true;
         result.instructions_skipped = start_snapshot->instret;
       }
     }
     if (slot_.get() == nullptr) {
-      ASSIGN_OR_RETURN(std::unique_ptr<target::TargetSystemInterface> minted,
-                       context_.factory());
       RETURN_IF_ERROR(
-          ConfigureTargetWorkload(*plan.config, minted.get()).status());
-      slot_ = TargetSlot::Own(std::move(minted));
+          MintConfiguredTarget(context_.factory, *plan.config, slot_)
+              .status());
     }
     ASSIGN_OR_RETURN(SupervisedOutcome outcome,
                      RunSupervisedExperiment(slot_, result.spec, *plan.config,
@@ -595,11 +581,6 @@ class ExperimentExecutor {
  private:
   const ExecutionContext& context_;
   TargetSlot slot_;
-  // This executor's view of the shared checkpoint store (misses
-  // everything when the plan holds none). A quarantine-replaced
-  // instance restores the same shared snapshot, so it survives
-  // re-minting.
-  CheckpointCache fork_cache_;
 };
 
 // Logs results in canonical plan order, starting after the `first`
@@ -909,13 +890,10 @@ Result<std::string> CampaignRunner::ReRunInDetailMode(
   ASSIGN_OR_RETURN(CampaignConfig config,
                    LoadCampaign(*database_, campaign_name));
   TargetSlot slot = TargetSlot::Borrow(target_);
-  if (target_ == nullptr) {
-    ASSIGN_OR_RETURN(std::unique_ptr<target::TargetSystemInterface> minted,
-                     target_factory_());
-    slot = TargetSlot::Own(std::move(minted));
-  }
   ASSIGN_OR_RETURN(const target::WorkloadSpec workload,
-                   ConfigureTargetWorkload(config, slot.get()));
+                   target_ != nullptr
+                       ? ConfigureTargetWorkload(config, target_)
+                       : MintConfiguredTarget(target_factory_, config, slot));
 
   // Unique child name: count existing children of this experiment.
   std::size_t child_count = 0;

@@ -40,7 +40,6 @@
 
 #include "analysis/equivalence.h"
 #include "core/campaign.h"
-#include "core/checkpoint.h"
 #include "core/location.h"
 #include "core/supervision.h"
 #include "util/rng.h"
@@ -186,12 +185,11 @@ struct ExperimentPlan {
   // The golden run's def-use index as the pre-injection liveness filter
   // (null = filter off).
   const analysis::FaultSpacePartition* preinjection = nullptr;
-  // Golden-run checkpoints to fork experiments from (null = replay every
-  // experiment from reset). Read-only during the run, like the rest of
-  // the plan; workers front it with their own CheckpointCache.
-  const CheckpointStore* checkpoints = nullptr;
-  // The golden run those checkpoints belong to, handed to every forked
-  // experiment's target so it can stop once it rejoins the golden run.
+  // The golden run to fork experiments from (null = replay every
+  // experiment from reset). Each forks from its boundary nearest below
+  // the trigger, and the golden run goes to the experiment's target
+  // beside it, so it can stop once it rejoins the golden run. Read-only
+  // during the run, like the rest of the plan.
   std::shared_ptr<const target::GoldenRun> golden_run;
   // Per-experiment equivalence verdicts, index-aligned with the plan
   // (null = equivalence mode off). When set, SampleExperimentSpec pins
@@ -210,13 +208,6 @@ std::string ExperimentName(const std::string& campaign_name,
 // analysis is off).
 Result<target::ExperimentSpec> SampleExperimentSpec(
     const ExperimentPlan& plan, std::size_t index, std::uint64_t* resamples);
-
-// Check the campaign/target pairing, resolve the campaign's workload,
-// install it on `target` and return it (the static analysis re-reads
-// its assembly). Every worker runs this against its own target
-// instance.
-Result<target::WorkloadSpec> ConfigureTargetWorkload(
-    const CampaignConfig& config, target::TargetSystemInterface* target);
 
 // Append one experiment (or reference, spec == nullptr) row to
 // LoggedSystemState. `observation` may be null for an abandoned
@@ -256,17 +247,14 @@ struct PreparedCampaign {
   // policy derives its watchdog deadline from these when the campaign
   // sets no explicit experiment_timeout_ms.
   target::TerminationSpec workload_termination{0, 0};
-  // Golden-run checkpoints (checkpoint-fork execution). Populated — and
-  // checkpoint_fork set — only when the campaign enables the mode (or a
+  // The recorded golden run (checkpoint-fork execution): boundary
+  // snapshots with their memory read-ahead sets, and the final
+  // observation. Non-null only when the campaign enables the mode (or a
   // runner override forces it) AND the campaign is eligible: instret
   // triggers, normal logging, not pre-runtime SWIFI, and a target that
-  // supports snapshot fork. Ineligible campaigns silently replay from
-  // reset; the logged database is identical either way. `golden_run`
-  // holds the same snapshots with their memory read-ahead sets and the
-  // final observation, for convergence.
-  CheckpointStore checkpoints;
+  // supports snapshot fork. Null means every experiment replays from
+  // reset; the logged database is identical either way.
   std::shared_ptr<const target::GoldenRun> golden_run;
-  bool checkpoint_fork = false;
   // Equivalence-mode planning (static_analysis = equivalence): one
   // verdict per planned experiment, in plan order. Empty when the mode
   // is off.
@@ -282,8 +270,7 @@ struct PreparedCampaign {
     plan.window_lo = window_lo;
     plan.window_hi = window_hi;
     plan.preinjection = use_preinjection ? &def_use : nullptr;
-    plan.checkpoints = checkpoint_fork ? &checkpoints : nullptr;
-    plan.golden_run = checkpoint_fork ? golden_run : nullptr;
+    plan.golden_run = golden_run;
     plan.equivalence =
         config.static_analysis == StaticAnalysis::kEquivalence ? &equivalence
                                                                : nullptr;

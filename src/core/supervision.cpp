@@ -5,13 +5,9 @@
 #include <mutex>
 #include <thread>
 
-namespace goofi::core {
+#include "target/workloads.h"
 
-// Defined in runner.cpp; redeclared here so the supervision layer can
-// re-configure a freshly minted replacement target without pulling in
-// the whole runner header.
-Result<target::WorkloadSpec> ConfigureTargetWorkload(
-    const CampaignConfig& config, target::TargetSystemInterface* target);
+namespace goofi::core {
 
 namespace {
 
@@ -164,6 +160,33 @@ SupervisionPolicy ResolveSupervisionPolicy(
   return policy;
 }
 
+Result<target::WorkloadSpec> ConfigureTargetWorkload(
+    const CampaignConfig& config, target::TargetSystemInterface* target) {
+  if (config.target != target->target_name()) {
+    return FailedPreconditionError(
+        "campaign '" + config.name + "' is for target '" + config.target +
+        "' but the runner holds '" + target->target_name() + "'");
+  }
+  ASSIGN_OR_RETURN(target::WorkloadSpec workload,
+                   target::GetBuiltinWorkload(config.workload));
+  RETURN_IF_ERROR(target->SetWorkload(workload));
+  return workload;
+}
+
+Result<target::WorkloadSpec> MintConfiguredTarget(
+    const target::TargetFactory& factory, const CampaignConfig& config,
+    TargetSlot& slot) {
+  if (!factory) {
+    return FailedPreconditionError("runner has no target and no factory");
+  }
+  ASSIGN_OR_RETURN(std::unique_ptr<target::TargetSystemInterface> minted,
+                   factory());
+  ASSIGN_OR_RETURN(target::WorkloadSpec workload,
+                   ConfigureTargetWorkload(config, minted.get()));
+  slot = TargetSlot::Own(std::move(minted));
+  return workload;
+}
+
 Result<SupervisedOutcome> RunSupervisedExperiment(
     TargetSlot& slot, const target::ExperimentSpec& spec,
     const CampaignConfig& config, const SupervisionPolicy& policy,
@@ -211,11 +234,7 @@ Result<SupervisedOutcome> RunSupervisedExperiment(
     // re-configure the replacement is campaign-fatal — there is nothing
     // left to run on.
     if (factory) {
-      ASSIGN_OR_RETURN(std::unique_ptr<target::TargetSystemInterface> fresh,
-                       factory());
-      RETURN_IF_ERROR(ConfigureTargetWorkload(config, fresh.get()).status());
-      slot.owned = std::move(fresh);
-      slot.borrowed = nullptr;
+      RETURN_IF_ERROR(MintConfiguredTarget(factory, config, slot).status());
       ++outcome.disposition.quarantined;
     } else if (slot.get() == nullptr) {
       return InternalError(

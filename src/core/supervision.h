@@ -116,6 +116,21 @@ struct TargetSlot {
   }
 };
 
+// Check the campaign/target pairing, resolve the campaign's workload,
+// install it on `target` and return it (the static analysis re-reads
+// its assembly). Every worker runs this against its own target
+// instance.
+Result<target::WorkloadSpec> ConfigureTargetWorkload(
+    const CampaignConfig& config, target::TargetSystemInterface* target);
+
+// Mint a fresh target from `factory` into `slot`, replacing whatever it
+// held, and configure `config`'s workload on it: a worker's first
+// target, a quarantine replacement, a detail re-run's target. An empty
+// factory fails FailedPrecondition.
+Result<target::WorkloadSpec> MintConfiguredTarget(
+    const target::TargetFactory& factory, const CampaignConfig& config,
+    TargetSlot& slot);
+
 // ---- the supervised run ------------------------------------------------
 
 struct SupervisedOutcome {
@@ -141,7 +156,7 @@ struct SupervisedOutcome {
 // A borrowed, non-abandonable slot detects deadline overruns only after
 // the run returns.
 //
-// `start_snapshot` (checkpoint-fork execution, core/checkpoint.h) is
+// `start_snapshot` (checkpoint-fork execution, target/golden_run.h) is
 // installed on the target before *every* attempt — including on a
 // freshly minted quarantine replacement — so retried runs fork from the
 // same golden checkpoint as the first try. nullptr runs from reset.

@@ -102,9 +102,13 @@ class TargetSystemInterface {
   // sim::Snapshot, and can start subsequent runs from an installed
   // snapshot instead of reset: the Fig. 2 phase sequences are
   // unchanged, but writeMemory/runWorkload reinstate the snapshot in
-  // place of the download + reset. The campaign runners drive this —
-  // they record checkpoints during the reference run and install the
-  // one nearest below each experiment's trigger.
+  // place of the download + reset. The campaign runner drives this: it
+  // arms a recording sink for the reference run, whose
+  // waitForTermination then records the golden run (target/golden_run.h),
+  // and installs the boundary nearest below each experiment's trigger
+  // with the golden run beside it. The setters below are driver state,
+  // like set_experiment: a decorator target copies them to the target
+  // it wraps.
   // ------------------------------------------------------------------
 
   // True when Capture/RestoreSnapshot reproduce runs bit-exactly. A
@@ -115,21 +119,16 @@ class TargetSystemInterface {
   virtual Result<sim::Snapshot> CaptureSnapshot();
   virtual Status RestoreSnapshot(const sim::Snapshot& snapshot);
 
-  // Record a boundary into `sink` at instruction 0 and then at every
-  // multiple of `stride` during MakeReferenceRun. A null sink or zero
-  // stride disables recording (the default). The caller fills in the
-  // stride and the final observation.
-  virtual void set_checkpoint_recording(std::uint64_t stride,
-                                        GoldenRun* sink) {
-    checkpoint_stride_ = stride;
-    checkpoint_sink_ = sink;
-  }
+  // Record the golden run into `sink` during MakeReferenceRun: a
+  // boundary at instruction 0 and then at every multiple of
+  // `sink->stride`, which must be nonzero. nullptr disables recording
+  // (the default). The caller fills in the final observation.
+  void set_checkpoint_recording(GoldenRun* sink) { checkpoint_sink_ = sink; }
 
   // Start subsequent runs from `snapshot` (nullptr reverts to running
   // from reset). The runner keeps ownership shared so one snapshot
   // serves many experiments and many workers.
-  virtual void set_start_snapshot(
-      std::shared_ptr<const sim::Snapshot> snapshot) {
+  void set_start_snapshot(std::shared_ptr<const sim::Snapshot> snapshot) {
     start_snapshot_ = std::move(snapshot);
   }
   const sim::Snapshot* start_snapshot() const {
@@ -139,7 +138,7 @@ class TargetSystemInterface {
   // The golden run the start snapshot came from (nullptr: none). A
   // target that supports convergence stops a forked run once it rejoins
   // the golden run (target/golden_run.h); others ignore it.
-  virtual void set_golden_run(std::shared_ptr<const GoldenRun> golden) {
+  void set_golden_run(std::shared_ptr<const GoldenRun> golden) {
     golden_run_ = std::move(golden);
   }
 
@@ -175,7 +174,6 @@ class TargetSystemInterface {
   LoggingMode logging_mode_ = LoggingMode::kNormal;
   sim::Tracer* external_tracer_ = nullptr;
   std::shared_ptr<const sim::Snapshot> start_snapshot_;
-  std::uint64_t checkpoint_stride_ = 0;
   GoldenRun* checkpoint_sink_ = nullptr;
   std::shared_ptr<const GoldenRun> golden_run_;
   Convergence convergence_;

@@ -74,17 +74,6 @@ class FlakyTarget : public TargetSystemInterface {
   Status RestoreSnapshot(const sim::Snapshot& snapshot) override {
     return inner_->RestoreSnapshot(snapshot);
   }
-  void set_checkpoint_recording(std::uint64_t stride,
-                                GoldenRun* sink) override {
-    inner_->set_checkpoint_recording(stride, sink);
-  }
-  void set_start_snapshot(
-      std::shared_ptr<const sim::Snapshot> snapshot) override {
-    inner_->set_start_snapshot(std::move(snapshot));
-  }
-  void set_golden_run(std::shared_ptr<const GoldenRun> golden) override {
-    inner_->set_golden_run(std::move(golden));
-  }
   Convergence convergence() const override { return inner_->convergence(); }
 
  protected:
@@ -108,12 +97,16 @@ class FlakyTarget : public TargetSystemInterface {
         "MakeReferenceRun/RunExperiment");
   }
 
-  // The decorator's own driver state (spec, logging mode, tracer) is
-  // what the campaign machinery set; push it down before every run.
+  // The decorator's own driver state (spec, logging mode, tracer, the
+  // checkpoint-fork setters) is what the campaign machinery set; push
+  // it down before every run.
   void SyncDriverState() {
     inner_->set_experiment(spec_);
     inner_->set_logging_mode(logging_mode_);
     inner_->set_external_tracer(external_tracer_);
+    inner_->set_checkpoint_recording(checkpoint_sink_);
+    inner_->set_start_snapshot(start_snapshot_);
+    inner_->set_golden_run(golden_run_);
   }
 
   Status InjectScriptedFault(FlakyFault fault) {

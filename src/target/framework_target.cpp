@@ -1,6 +1,7 @@
 #include "target/framework_target.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace goofi::target {
 namespace {
@@ -135,6 +136,20 @@ Status FrameworkTarget::writeScanChain() {
 }
 
 Status FrameworkTarget::waitForTermination() {
+  if (checkpoint_sink_ != nullptr) {
+    // A recording reference run stops at every stride boundary the
+    // machine reaches still running, to capture it.
+    const std::uint64_t stride = checkpoint_sink_->stride;
+    for (;;) {
+      ASSIGN_OR_RETURN(sim::Snapshot snapshot, CaptureSnapshot());
+      checkpoint_sink_->boundaries.push_back(
+          {std::make_shared<const sim::Snapshot>(std::move(snapshot)), {}});
+      const std::uint64_t boundary = time_ + (stride - time_ % stride);
+      if (boundary >= kDuration) break;
+      StepUntil(boundary);
+      if (detected_) break;
+    }
+  }
   StepUntil(kDuration);
   observation_.stop_reason =
       detected_ ? sim::StopReason::kEdm : sim::StopReason::kHalted;
@@ -196,38 +211,6 @@ Status FrameworkTarget::RestoreSnapshot(const sim::Snapshot& snapshot) {
   time_ = read64(kCounters * 8);
   detected_ = read64((kCounters + 1) * 8) != 0;
   snapshot_ = BitVector();
-  return Status::Ok();
-}
-
-Status FrameworkTarget::MakeReferenceRun() {
-  if (checkpoint_sink_ == nullptr || checkpoint_stride_ == 0) {
-    return TargetSystemInterface::MakeReferenceRun();
-  }
-  // The Fig. 2 reference sequence, with the run-to-completion phase
-  // chunked at stride boundaries to record checkpoints.
-  observation_ = Observation{};
-  RETURN_IF_ERROR(initTestCard());
-  RETURN_IF_ERROR(loadWorkload());
-  RETURN_IF_ERROR(writeMemory());
-  RETURN_IF_ERROR(runWorkload());
-  {
-    ASSIGN_OR_RETURN(sim::Snapshot boot, CaptureSnapshot());
-    checkpoint_sink_->boundaries.push_back(
-        {std::make_shared<const sim::Snapshot>(std::move(boot)), {}});
-  }
-  for (;;) {
-    const std::uint64_t boundary =
-        time_ + (checkpoint_stride_ - time_ % checkpoint_stride_);
-    if (boundary >= kDuration) break;
-    StepUntil(boundary);
-    if (detected_) break;
-    ASSIGN_OR_RETURN(sim::Snapshot snapshot, CaptureSnapshot());
-    checkpoint_sink_->boundaries.push_back(
-        {std::make_shared<const sim::Snapshot>(std::move(snapshot)), {}});
-  }
-  RETURN_IF_ERROR(waitForTermination());
-  RETURN_IF_ERROR(readMemory());
-  RETURN_IF_ERROR(readScanChain());
   return Status::Ok();
 }
 

@@ -35,11 +35,13 @@ class FrameworkTarget : public TargetSystemInterface {
   // as an opaque "framework" blob in sim::Snapshot::extras. A port that
   // adds target state of its own must override these three alongside
   // the Fig. 3 operations — or override SupportsCheckpointFork to
-  // return false until it does.
+  // return false until it does. The golden run's boundaries are
+  // recorded by waitForTermination while a recording sink is armed; a
+  // port that replaces it without recording gets none, and its
+  // experiments replay from reset.
   bool SupportsCheckpointFork() const override { return true; }
   Result<sim::Snapshot> CaptureSnapshot() override;
   Status RestoreSnapshot(const sim::Snapshot& snapshot) override;
-  Status MakeReferenceRun() override;
 
  protected:
   Status initTestCard() override;

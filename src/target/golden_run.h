@@ -37,16 +37,16 @@ struct GoldenRun {
   std::vector<Boundary> boundaries;
   Observation final_observation;
 
-  // The boundary captured at exactly `instret`, or nullptr.
-  const Boundary* At(std::uint64_t instret) const {
-    const auto found = std::lower_bound(
+  // The boundary with the largest instret <= `instret`, or nullptr when
+  // the run recorded none that early. Forks start from it; convergence
+  // compares at it when its instret is exactly the live one.
+  const Boundary* AtOrBelow(std::uint64_t instret) const {
+    const auto above = std::upper_bound(
         boundaries.begin(), boundaries.end(), instret,
-        [](const Boundary& boundary, std::uint64_t value) {
-          return boundary.snapshot->instret < value;
+        [](std::uint64_t value, const Boundary& boundary) {
+          return value < boundary.snapshot->instret;
         });
-    return found != boundaries.end() && found->snapshot->instret == instret
-               ? &*found
-               : nullptr;
+    return above == boundaries.begin() ? nullptr : &*(above - 1);
   }
 };
 

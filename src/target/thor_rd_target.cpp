@@ -224,7 +224,7 @@ Status ThorRdTarget::RunToTerminationRecordingCheckpoints() {
   Result<bool> ran = record();
   if (ran.ok()) {
     memory.set_read_ahead_recorder(&reads);
-    ran = RunInStrides(checkpoint_stride_, record);
+    ran = RunInStrides(checkpoint_sink_->stride, record);
     memory.set_read_ahead_recorder(nullptr);
   }
   RETURN_IF_ERROR(ran.status());
@@ -274,25 +274,6 @@ bool ThorRdTarget::MatchesGoldenAt(const GoldenRun::Boundary& boundary) const {
             (address >= kIoBase && address < std::uint64_t{kIoBase} + kIoSize);
         return !observed && !boundary.reads_ahead.Contains(backing, word);
       });
-}
-
-Status ThorRdTarget::MakeReferenceRun() {
-  if (checkpoint_sink_ == nullptr || checkpoint_stride_ == 0) {
-    return TargetSystemInterface::MakeReferenceRun();
-  }
-  // The Fig. 2 reference sequence with waitForTermination replaced by
-  // the chunked recording loop. The chunks only add debug-port run
-  // commands, which no observation field sees, so the produced golden
-  // observation is bit-identical to the un-chunked run's.
-  observation_ = Observation{};
-  RETURN_IF_ERROR(initTestCard());
-  RETURN_IF_ERROR(loadWorkload());
-  RETURN_IF_ERROR(writeMemory());
-  RETURN_IF_ERROR(runWorkload());
-  RETURN_IF_ERROR(RunToTerminationRecordingCheckpoints());
-  RETURN_IF_ERROR(readMemory());
-  RETURN_IF_ERROR(readScanChain());
-  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------
@@ -432,6 +413,12 @@ Status ThorRdTarget::writeScanChain() {
 
 Status ThorRdTarget::waitForTermination() {
   if (run_finished_) return Status::Ok();
+  // A recording reference run runs in stride-sized chunks. They only
+  // add debug-port run commands, which no observation field sees, so
+  // its golden observation is bit-identical to an un-chunked run's.
+  if (checkpoint_sink_ != nullptr) {
+    return RunToTerminationRecordingCheckpoints();
+  }
   if (!MayConverge()) {
     const EffectiveTermination term = ResolveTermination();
     const sim::RunResult result = card_.Run(
@@ -444,9 +431,10 @@ Status ThorRdTarget::waitForTermination() {
   ASSIGN_OR_RETURN(
       const bool converged,
       RunInStrides(golden_run_->stride, [this]() -> Result<bool> {
-        const GoldenRun::Boundary* boundary =
-            golden_run_->At(card_.cpu().instret());
-        return boundary != nullptr && MatchesGoldenAt(*boundary);
+        const std::uint64_t instret = card_.cpu().instret();
+        const GoldenRun::Boundary* boundary = golden_run_->AtOrBelow(instret);
+        return boundary != nullptr && boundary->snapshot->instret == instret &&
+               MatchesGoldenAt(*boundary);
       }));
   if (!converged) return Status::Ok();
   const bool injected = observation_.fault_was_injected;

@@ -49,10 +49,6 @@ class ThorRdTarget : public TargetSystemInterface {
   Result<sim::Snapshot> CaptureSnapshot() override;
   Status RestoreSnapshot(const sim::Snapshot& snapshot) override;
 
-  // With checkpoint recording armed, the reference run executes in
-  // stride-sized chunks, capturing a snapshot at each stride boundary.
-  Status MakeReferenceRun() override;
-
   // Convergence's test at one golden boundary (target/golden_run.h):
   // the live state equals the golden snapshot in everything compared,
   // and every memory word that differs may differ. Public so benches
@@ -129,9 +125,10 @@ class ThorRdTarget : public TargetSystemInterface {
   // un-chunked run would have.
   Result<bool> RunInStrides(std::uint64_t stride,
                             const std::function<Result<bool>()>& at_boundary);
-  // waitForTermination in checkpoint_stride_-sized chunks, recording a
-  // snapshot and the memory read-ahead set into checkpoint_sink_ at
-  // instruction 0 and every stride boundary reached.
+  // waitForTermination while a recording sink is armed: runs in
+  // stride-sized chunks, recording a snapshot and the memory read-ahead
+  // set into checkpoint_sink_ at instruction 0 and every stride
+  // boundary reached.
   Status RunToTerminationRecordingCheckpoints();
   // Convergence: a forked transient-fault run under normal logging with
   // no post-step hooks may stop where it rejoins the golden run.

@@ -1,14 +1,12 @@
-// Checkpoint-fork execution: the CheckpointStore/CheckpointCache lookup
-// machinery, and the guarantee the whole mode rides on — a campaign run
-// with fork-from-checkpoint logs a database bit-identical to
-// replay-from-reset, serially, at any worker count, under supervision
-// retries, and on the framework skeleton target. Ineligible campaigns
-// must silently fall back to replay rather than change results.
-#include "core/checkpoint.h"
-
+// Checkpoint-fork execution: the golden run's boundary lookup and the
+// recordings the targets make, and the guarantee the whole mode rides
+// on — a campaign run with fork-from-checkpoint logs a database
+// bit-identical to replay-from-reset, serially, at any worker count,
+// under supervision retries, and on the framework skeleton target.
+// Ineligible campaigns must silently fall back to replay rather than
+// change results.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,85 +16,11 @@
 #include "core/runner.h"
 #include "target/flaky_target.h"
 #include "target/framework_target.h"
+#include "target/golden_run.h"
 #include "target/thor_rd_target.h"
 
 namespace goofi::core {
 namespace {
-
-sim::Snapshot At(std::uint64_t instret) {
-  sim::Snapshot snapshot;
-  snapshot.instret = instret;
-  return snapshot;
-}
-
-TEST(CheckpointStoreTest, AddKeepsOnlyIncreasingInstret) {
-  CheckpointStore store;
-  EXPECT_TRUE(store.empty());
-  store.Add(At(100));
-  store.Add(At(100));  // duplicate: ignored
-  store.Add(At(50));   // out of order: ignored
-  store.Add(At(200));
-  EXPECT_EQ(store.size(), 2u);
-}
-
-TEST(CheckpointStoreTest, NearestAtOrBelowReturnsPredecessorAndInterval) {
-  CheckpointStore store;
-  store.Add(At(100));
-  store.Add(At(200));
-  store.Add(At(300));
-
-  EXPECT_EQ(store.NearestAtOrBelow(99), nullptr);
-
-  std::uint64_t lo = 0, hi = 0;
-  auto exact = store.NearestAtOrBelow(100, &lo, &hi);
-  ASSERT_NE(exact, nullptr);
-  EXPECT_EQ(exact->instret, 100u);
-  EXPECT_EQ(lo, 100u);
-  EXPECT_EQ(hi, 200u);
-
-  auto mid = store.NearestAtOrBelow(250, &lo, &hi);
-  ASSERT_NE(mid, nullptr);
-  EXPECT_EQ(mid->instret, 200u);
-  EXPECT_EQ(lo, 200u);
-  EXPECT_EQ(hi, 300u);
-
-  auto past_last = store.NearestAtOrBelow(1000, &lo, &hi);
-  ASSERT_NE(past_last, nullptr);
-  EXPECT_EQ(past_last->instret, 300u);
-  EXPECT_EQ(lo, 300u);
-  EXPECT_EQ(hi, std::numeric_limits<std::uint64_t>::max());
-}
-
-TEST(CheckpointCacheTest, MemoizesWithinIntervalAndTalliesSavings) {
-  CheckpointStore store;
-  store.Add(At(100));
-  store.Add(At(200));
-
-  CheckpointCache cache(&store);
-  auto first = cache.ForTrigger(150);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->instret, 100u);
-  // Same stride interval: the memoized snapshot, no re-search needed.
-  EXPECT_EQ(cache.ForTrigger(199), first);
-  auto next = cache.ForTrigger(250);
-  ASSERT_NE(next, nullptr);
-  EXPECT_EQ(next->instret, 200u);
-  // Below every checkpoint: a miss that doesn't count as a fork.
-  EXPECT_EQ(cache.ForTrigger(10), nullptr);
-
-  EXPECT_EQ(cache.forks(), 3u);
-  EXPECT_EQ(cache.instructions_skipped(), 100u + 100u + 200u);
-}
-
-TEST(CheckpointCacheTest, NullStoreMeansEveryLookupMisses) {
-  CheckpointCache cache(nullptr);
-  EXPECT_EQ(cache.ForTrigger(0), nullptr);
-  EXPECT_EQ(cache.ForTrigger(1000), nullptr);
-  EXPECT_EQ(cache.forks(), 0u);
-  EXPECT_EQ(cache.instructions_skipped(), 0u);
-}
-
-// ---- fork vs replay equivalence ---------------------------------------
 
 std::vector<std::string> DumpTable(db::Database& database,
                                    const std::string& table_name) {
@@ -158,6 +82,86 @@ class CheckpointForkTest : public ::testing::Test {
     return *factory;
   }
 };
+
+// ---- the golden run's boundaries ---------------------------------------
+
+target::GoldenRun RunWithBoundariesAt(
+    const std::vector<std::uint64_t>& instrets) {
+  target::GoldenRun golden;
+  golden.stride = 100;
+  for (const std::uint64_t instret : instrets) {
+    auto snapshot = std::make_shared<sim::Snapshot>();
+    snapshot->instret = instret;
+    golden.boundaries.push_back({std::move(snapshot), {}});
+  }
+  return golden;
+}
+
+std::uint64_t InstretAtOrBelow(const target::GoldenRun& golden,
+                               std::uint64_t instret) {
+  const target::GoldenRun::Boundary* boundary = golden.AtOrBelow(instret);
+  EXPECT_NE(boundary, nullptr) << instret;
+  return boundary != nullptr ? boundary->snapshot->instret : ~0ull;
+}
+
+TEST_F(CheckpointForkTest, AtOrBelowFindsTheBoundaryNearestBelow) {
+  const target::GoldenRun golden = RunWithBoundariesAt({100, 200, 300});
+  EXPECT_EQ(golden.AtOrBelow(99), nullptr);        // below the first
+  EXPECT_EQ(InstretAtOrBelow(golden, 100), 100u);  // an exact hit
+  EXPECT_EQ(InstretAtOrBelow(golden, 250), 200u);  // between two
+  EXPECT_EQ(InstretAtOrBelow(golden, 299), 200u);
+  EXPECT_EQ(InstretAtOrBelow(golden, 300), 300u);
+  EXPECT_EQ(InstretAtOrBelow(golden, 1000), 300u);  // past the last
+}
+
+TEST_F(CheckpointForkTest, AtOrBelowOnAnEmptyRunFindsNothing) {
+  const target::GoldenRun golden = RunWithBoundariesAt({});
+  EXPECT_EQ(golden.AtOrBelow(0), nullptr);
+  EXPECT_EQ(golden.AtOrBelow(~0ull), nullptr);
+}
+
+// A recording reference run on `target`: the boundaries' instrets.
+std::vector<std::uint64_t> RecordedInstrets(
+    target::TargetSystemInterface& target, const std::string& workload,
+    std::uint64_t stride) {
+  auto spec = target::GetBuiltinWorkload(workload);
+  EXPECT_TRUE(spec.ok());
+  EXPECT_TRUE(target.SetWorkload(*spec).ok());
+  target::GoldenRun golden;
+  golden.stride = stride;
+  target.set_checkpoint_recording(&golden);
+  const Status ran = target.MakeReferenceRun();
+  target.set_checkpoint_recording(nullptr);
+  EXPECT_TRUE(ran.ok()) << ran.ToString();
+  std::vector<std::uint64_t> instrets;
+  for (const target::GoldenRun::Boundary& boundary : golden.boundaries) {
+    instrets.push_back(boundary.snapshot->instret);
+  }
+  return instrets;
+}
+
+TEST_F(CheckpointForkTest, RecordingsStartAtZeroAndIncreaseStrictly) {
+  // AtOrBelow and the runner's boundary count rely on this: one boundary
+  // per instret, from the boot snapshot up, in order.
+  target::ThorRdTarget thor;
+  target::FrameworkTarget framework;
+  const std::vector<std::uint64_t> thor_instrets =
+      RecordedInstrets(thor, "isort", 200);
+  const std::vector<std::uint64_t> framework_instrets =
+      RecordedInstrets(framework, "fib", 5);
+  for (const auto* instrets : {&thor_instrets, &framework_instrets}) {
+    ASSERT_GT(instrets->size(), 2u);
+    EXPECT_EQ(instrets->front(), 0u);
+    for (std::size_t i = 1; i < instrets->size(); ++i) {
+      EXPECT_LT((*instrets)[i - 1], (*instrets)[i]) << i;
+    }
+  }
+  // The framework machine runs 64 steps: 0, 5, ..., 60.
+  EXPECT_EQ(framework_instrets.size(), 13u);
+  EXPECT_EQ(framework_instrets.back(), 60u);
+}
+
+// ---- fork vs replay equivalence ---------------------------------------
 
 TEST_F(CheckpointForkTest, ForkedRunLogsTheIdenticalDatabase) {
   const CampaignConfig config = MakeConfig();
@@ -304,6 +308,52 @@ TEST_F(CheckpointForkTest, SupervisionRetriesComposeWithForking) {
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_EQ(DumpTable(sharded_db, kLoggedSystemStateTable),
             DumpTable(replay_db, kLoggedSystemStateTable));
+  // Forked rows equal replayed rows by design, so the rows alone cannot
+  // show that the sharded run forked: every target there, the reference
+  // included, is a flaky decorator, which must hand the recording sink,
+  // the start snapshot and the golden run to the target it wraps.
+  EXPECT_GT(fork->experiments_converged, 0u);
+  EXPECT_GT(sharded->checkpoint_forks, 0u);
+  EXPECT_EQ(sharded->checkpoints_recorded, fork->checkpoints_recorded);
+  EXPECT_EQ(sharded->experiments_converged, fork->experiments_converged);
+}
+
+TEST_F(CheckpointForkTest, NextCampaignOnTheSameTargetStartsFromReset) {
+  // A forked campaign leaves its last experiment's start snapshot and
+  // golden run installed on a caller's target; the next campaign's
+  // reference run and experiments on that target must not fork from
+  // them.
+  CampaignConfig forked = MakeConfig(12);
+  forked.name = "ck_first";
+  CampaignConfig next = MakeConfig(12);
+  next.name = "ck_next";
+  next.workload = "fib";
+  next.checkpoint_mode = false;
+
+  db::Database reused_db;
+  SetUpDatabase(reused_db, forked);
+  ASSERT_TRUE(StoreCampaign(reused_db, next).ok());
+  target::ThorRdTarget reused;
+  CampaignRunner runner(&reused_db, &reused);
+  auto first = runner.Run("ck_first");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_GT(first->checkpoint_forks, 0u);
+  auto second = runner.Run("ck_next");
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+
+  db::Database fresh_db;
+  const CampaignSummary fresh = RunWith(fresh_db, next, std::nullopt);
+  EXPECT_EQ(second->reference.instructions, fresh.reference.instructions);
+  EXPECT_TRUE(second->reference.Serialize() == fresh.reference.Serialize());
+  auto rows_of = [](db::Database& database, const std::string& campaign) {
+    std::vector<std::string> rows;
+    for (const std::string& row :
+         DumpTable(database, kLoggedSystemStateTable)) {
+      if (row.find(campaign + "/") != std::string::npos) rows.push_back(row);
+    }
+    return rows;
+  };
+  EXPECT_TRUE(rows_of(reused_db, "ck_next") == rows_of(fresh_db, "ck_next"));
 }
 
 TEST_F(CheckpointForkTest, FrameworkTargetForksThroughTheExtrasBlob) {

@@ -222,6 +222,22 @@ TEST_F(RunnerTest, ReRunRejectsReferenceAndUnknown) {
             ErrorCode::kNotFound);
 }
 
+TEST_F(RunnerTest, NoTargetAndEmptyFactoryFailsTyped) {
+  // A runner with neither a target nor a way to mint one refuses both
+  // a run and a detail re-run with a typed error, logging nothing.
+  ASSERT_TRUE(StoreCampaign(database_, MakeConfig("nf", 3)).ok());
+  {
+    CampaignRunner runner(&database_, &target_);
+    ASSERT_TRUE(runner.Run("nf").ok());
+  }
+  const std::int64_t rows = CountRows("campaign_name = 'nf'");
+  CampaignRunner runner(&database_, target::TargetFactory{}, 1);
+  EXPECT_EQ(runner.Run("nf").status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(runner.ReRunInDetailMode("nf/exp00000").status().code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(CountRows("campaign_name = 'nf'"), rows);
+}
+
 TEST_F(RunnerTest, PreinjectionAnalysisFiltersDeadPoints) {
   // Plain campaign vs pre-injection campaign on the same seed: the
   // pre-injection one must produce strictly fewer overwritten/no-effect

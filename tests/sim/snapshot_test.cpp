@@ -1,6 +1,6 @@
 // Snapshot round-trip proofs for every sim component: CaptureState();
 // mutate; RestoreState() must be bit-exact, because checkpoint-fork
-// execution (core/checkpoint.*) rides on a restored simulator being
+// execution (target/golden_run.h) rides on a restored simulator being
 // indistinguishable from one that replayed from reset. Each component
 // is also checked for the loud-failure half of the contract: restoring
 // onto mismatched geometry is an error, never silent corruption.
