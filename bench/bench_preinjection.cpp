@@ -44,8 +44,6 @@ int main() {
   bench::BenchJson json("preinjection");
   for (const std::string workload : {"isort", "matmul", "crc32",
                                      "engine_control"}) {
-    double random_yield = 0.0;
-    double random_effective = 0.0;
     for (const ModeSetup& mode : kModes) {
       db::Database database;
       target::ThorRdTarget target;
@@ -69,10 +67,6 @@ int main() {
       const double effective_yield =
           static_cast<double>(effective) /
           static_cast<double>(run.analysis.total);
-      if (std::string(mode.name) == "random") {
-        random_yield = yield;
-        random_effective = effective_yield;
-      }
       // "pruned" is the fraction of planned work each mode removes up
       // front: static = location bits proven dead before any run,
       // liveness = (location, time) points outside the live intervals,

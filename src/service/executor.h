@@ -7,8 +7,8 @@
 // commit cadence. So a results database produced under the daemon is
 // byte-identical to one produced by a one-shot `goofi_tool run` of the
 // same ini. That equality is the service's core robustness claim and
-// what tests/service/restart_equivalence_test.cpp and the serve-smoke
-// CI job diff.
+// what tests/service/restart_equivalence_test.cpp and
+// tests/cli/goofi_serve_test.sh diff.
 //
 // Resume is implicit: if the campaign row already exists in the results
 // database (a previous daemon life was killed mid-run, leaving the last

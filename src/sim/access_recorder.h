@@ -16,8 +16,6 @@
 
 namespace goofi::sim {
 
-struct AccessRecorderState;  // sim/snapshot.h
-
 struct AccessEvent {
   std::uint64_t time = 0;  // instret of the accessing instruction
   bool is_write = false;
@@ -50,11 +48,6 @@ class AccessRecorder : public Tracer {
   const std::vector<std::uint32_t>& pc_trace() const { return pc_trace_; }
 
   void Clear();
-
-  // Checkpoint support (sim/snapshot.h): copy out / reinstate all three
-  // event streams.
-  AccessRecorderState CaptureState() const;
-  void RestoreState(const AccessRecorderState& state);
 
  private:
   std::vector<AccessEvent> reg_events_[16];

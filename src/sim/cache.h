@@ -24,8 +24,6 @@
 
 namespace goofi::sim {
 
-struct CacheState;  // sim/snapshot.h
-
 struct CacheGeometry {
   std::uint32_t lines = 16;           // power of two
   std::uint32_t words_per_line = 4;   // power of two
@@ -37,12 +35,27 @@ struct CacheLine {
   std::uint32_t tag = 0;
   std::vector<std::uint32_t> words;
   std::vector<bool> parity;  // stored parity bit per word
+
+  friend bool operator==(const CacheLine&, const CacheLine&) = default;
 };
 
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t parity_errors = 0;
+
+  friend bool operator==(const CacheStats&, const CacheStats&) = default;
+};
+
+// Every array bit of one cache: valid/tag/data words and the stored
+// parity bits (the scan-reachable fault locations), plus the running
+// statistics so a restored run's counters match replay-from-reset. The
+// cache runs on this struct, so a snapshot is a copy of it.
+struct CacheState {
+  std::vector<CacheLine> lines;
+  CacheStats stats;
+
+  friend bool operator==(const CacheState&, const CacheState&) = default;
 };
 
 class Cache {
@@ -50,7 +63,7 @@ class Cache {
   explicit Cache(CacheGeometry geometry = {});
 
   const CacheGeometry& geometry() const { return geometry_; }
-  const CacheStats& stats() const { return stats_; }
+  const CacheStats& stats() const { return state_.stats; }
 
   // Read through the cache. On a hit the stored parity is checked;
   // *parity_error reports a mismatch (the CPU raises the corresponding
@@ -65,7 +78,7 @@ class Cache {
     if (injector_ != nullptr) {
       inflight_mask = injector_->PreRead(injector_unit_, this, address, kind);
     }
-    CacheLine& line = lines_[LineIndex(address)];
+    CacheLine& line = state_.lines[LineIndex(address)];
     if (!line.valid || line.tag != Tag(address)) {
       return ReadMiss(memory, address, value, kind, inflight_mask);
     }
@@ -77,10 +90,10 @@ class Cache {
         (kind == AccessKind::kRead && !segment->readable)) {
       return MemFault::kProtection;
     }
-    ++stats_.hits;
+    ++state_.stats.hits;
     const std::uint32_t word = WordIndex(address);
     if (ComputeParity(line.words[word]) != line.parity[word]) {
-      ++stats_.parity_errors;
+      ++state_.stats.parity_errors;
       *parity_error = true;
     }
     *value = line.words[word] ^ inflight_mask;
@@ -96,9 +109,11 @@ class Cache {
   void Invalidate();
 
   // Raw array access for the scan chain.
-  std::size_t line_count() const { return lines_.size(); }
-  CacheLine& line(std::size_t index) { return lines_[index]; }
-  const CacheLine& line(std::size_t index) const { return lines_[index]; }
+  std::size_t line_count() const { return state_.lines.size(); }
+  CacheLine& line(std::size_t index) { return state_.lines[index]; }
+  const CacheLine& line(std::size_t index) const {
+    return state_.lines[index];
+  }
 
   // Address decomposition (public for tests and the scan-chain map).
   std::uint32_t LineIndex(std::uint32_t address) const {
@@ -132,10 +147,12 @@ class Cache {
   // Checkpoint support (sim/snapshot.h): every array bit — valid, tag,
   // data words and the stored parity bits — plus the statistics.
   // RestoreState fails when the line shape does not match the geometry.
-  CacheState CaptureState() const;
+  CacheState CaptureState() const { return state_; }
   Status RestoreState(const CacheState& state);
   // Every array bit equals `state`'s; the statistics are not compared.
-  bool ArraysMatch(const CacheState& state) const;
+  bool ArraysMatch(const CacheState& state) const {
+    return state_.lines == state.lines;
+  }
 
  private:
   // Fills the line holding `address` from memory and returns the word.
@@ -150,11 +167,10 @@ class Cache {
   std::uint32_t word_mask_ = 0;
   std::uint32_t line_mask_ = 0;
   std::uint32_t tag_mask_ = 0;
-  std::vector<CacheLine> lines_;
+  CacheState state_;
   // A line's worth of words read by a fill; the line itself is only
   // updated once the whole fill succeeded.
   std::vector<std::uint32_t> fill_;
-  CacheStats stats_;
   FaultInjector* injector_ = nullptr;
   MemUnit injector_unit_ = MemUnit::kMainMemory;
 };

@@ -1,5 +1,6 @@
 #include "sim/cpu.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <utility>
@@ -12,7 +13,7 @@ Cpu::Cpu(CpuConfig config)
     : config_(config),
       icache_(config.icache_geometry),
       dcache_(config.dcache_geometry) {
-  wdt_ = config_.watchdog_period;
+  core_.wdt = config_.watchdog_period;
 }
 
 int Cpu::AddPostStepHook(PostStepHook hook) {
@@ -32,18 +33,45 @@ void Cpu::RemovePostStepHook(int id) {
 
 void Cpu::ClearPostStepHooks() { hooks_.clear(); }
 
+CpuState Cpu::CaptureState() const {
+  return CpuState{core_,
+                  emitted_,
+                  edm_events_,
+                  memory_.CaptureState(),
+                  icache_.CaptureState(),
+                  dcache_.CaptureState()};
+}
+
+Status Cpu::RestoreState(const CpuState& state) {
+  // Each sub-restore checks its geometry before it copies anything; the
+  // core block and the logs change only once all three succeeded.
+  RETURN_IF_ERROR(memory_.RestoreState(state.memory));
+  RETURN_IF_ERROR(icache_.RestoreState(state.icache));
+  RETURN_IF_ERROR(dcache_.RestoreState(state.dcache));
+  core_ = state;
+  emitted_ = state.emitted;
+  edm_events_ = state.edm_events;
+  return Status::Ok();
+}
+
+bool Cpu::MatchesExceptMemory(const CpuState& state,
+                              std::size_t emitted_from) const {
+  emitted_from = std::min(emitted_from, emitted_.size());
+  return core_ == static_cast<const CpuCore&>(state) &&
+         emitted_.size() == state.emitted.size() &&
+         std::equal(emitted_.begin() +
+                        static_cast<std::ptrdiff_t>(emitted_from),
+                    emitted_.end(),
+                    state.emitted.begin() +
+                        static_cast<std::ptrdiff_t>(emitted_from)) &&
+         edm_events_ == state.edm_events && icache_.ArraysMatch(state.icache) &&
+         dcache_.ArraysMatch(state.dcache);
+}
+
 void Cpu::Reset(std::uint32_t boot_pc) {
-  for (auto& r : regs_) r = 0;
-  pc_ = boot_pc;
-  ir_ = 0;
-  mar_ = 0;
-  mdr_ = 0;
-  wdt_ = config_.watchdog_period;
-  ir_valid_ = false;
-  halted_ = false;
-  instret_ = 0;
-  iterations_ = 0;
-  recoveries_ = 0;
+  core_ = CpuCore{};
+  core_.pc = boot_pc;
+  core_.wdt = config_.watchdog_period;
   emitted_.clear();
   edm_events_.clear();
   icache_.Invalidate();
@@ -55,7 +83,7 @@ bool Cpu::RaiseEdm(EdmType type, std::uint32_t pc, std::string detail,
   if (!config_.edm.IsEnabled(type)) return false;
   EdmEvent event;
   event.type = type;
-  event.time = instret_;
+  event.time = core_.instret;
   event.pc = pc;
   event.detail = std::move(detail);
   edm_events_.push_back(std::move(event));
@@ -63,13 +91,13 @@ bool Cpu::RaiseEdm(EdmType type, std::uint32_t pc, std::string detail,
     // Abort the offending instruction and vector to the recovery
     // handler. Trap entry rearms the watchdog (otherwise an expired
     // watchdog would re-trap before the handler's first instruction).
-    pc_ = config_.trap_vector;
-    ir_valid_ = false;
-    wdt_ = config_.watchdog_period;
+    core_.pc = config_.trap_vector;
+    core_.ir_valid = false;
+    core_.wdt = config_.watchdog_period;
     outcome->kind = StepOutcome::Kind::kEdmTrapped;
     return true;
   }
-  halted_ = true;
+  core_.halted = true;
   outcome->kind = StepOutcome::Kind::kEdm;
   return true;
 }
@@ -78,32 +106,33 @@ bool Cpu::Prefetch(StepOutcome* outcome) {
   std::uint32_t word = 0;
   bool parity_error = false;
   const MemFault fault =
-      pc_ % 4 != 0 ? MemFault::kMisaligned
-                   : icache_.ReadWord(memory_, pc_, &word,
-                                      AccessKind::kExecute, &parity_error);
+      core_.pc % 4 != 0
+          ? MemFault::kMisaligned
+          : icache_.ReadWord(memory_, core_.pc, &word, AccessKind::kExecute,
+                             &parity_error);
   if (fault != MemFault::kNone || parity_error) {
     return PrefetchFault(fault, parity_error, word, outcome);
   }
-  ir_ = word;
-  ir_valid_ = true;
+  core_.ir = word;
+  core_.ir_valid = true;
   return true;
 }
 
 bool Cpu::PrefetchFault(MemFault fault, bool parity_error, std::uint32_t word,
                         StepOutcome* outcome) {
   if (fault == MemFault::kMisaligned) {
-    if (RaiseEdm(EdmType::kMisalignedAccess, pc_,
-                 StrFormat("fetch from misaligned pc 0x%08x", pc_),
+    if (RaiseEdm(EdmType::kMisalignedAccess, core_.pc,
+                 StrFormat("fetch from misaligned pc 0x%08x", core_.pc),
                  outcome)) {
       return false;
     }
-    pc_ &= ~3u;  // mechanism disabled: hardware masks the low bits
-    fault = icache_.ReadWord(memory_, pc_, &word, AccessKind::kExecute,
+    core_.pc &= ~3u;  // mechanism disabled: hardware masks the low bits
+    fault = icache_.ReadWord(memory_, core_.pc, &word, AccessKind::kExecute,
                              &parity_error);
   }
   if (fault == MemFault::kUnmapped || fault == MemFault::kProtection) {
-    if (RaiseEdm(EdmType::kPcOutOfRange, pc_,
-                 StrFormat("fetch outside program memory at 0x%08x", pc_),
+    if (RaiseEdm(EdmType::kPcOutOfRange, core_.pc,
+                 StrFormat("fetch outside program memory at 0x%08x", core_.pc),
                  outcome)) {
       return false;
     }
@@ -111,25 +140,25 @@ bool Cpu::PrefetchFault(MemFault fault, bool parity_error, std::uint32_t word,
     // tool-level timeout eventually terminates the experiment.
     word = 0;
   } else if (parity_error) {
-    if (RaiseEdm(EdmType::kIcacheParity, pc_,
-                 StrFormat("instruction cache parity at 0x%08x", pc_),
+    if (RaiseEdm(EdmType::kIcacheParity, core_.pc,
+                 StrFormat("instruction cache parity at 0x%08x", core_.pc),
                  outcome)) {
       return false;
     }
   }
-  ir_ = word;
-  ir_valid_ = true;
+  core_.ir = word;
+  core_.ir_valid = true;
   return true;
 }
 
 StepOutcome Cpu::Step() {
   StepOutcome outcome;
-  if (halted_) {
+  if (core_.halted) {
     outcome.kind = StepOutcome::Kind::kHalted;
     return outcome;
   }
   // Initial fetch after Reset.
-  if (!ir_valid_) {
+  if (!core_.ir_valid) {
     if (!Prefetch(&outcome)) return outcome;
   }
 
@@ -137,29 +166,29 @@ StepOutcome Cpu::Step() {
   // iteration ends rearm it.
   if (config_.edm.IsEnabled(EdmType::kWatchdog) &&
       config_.watchdog_period > 0) {
-    if (wdt_ == 0) {
-      RaiseEdm(EdmType::kWatchdog, pc_, "watchdog expired", &outcome);
+    if (core_.wdt == 0) {
+      RaiseEdm(EdmType::kWatchdog, core_.pc, "watchdog expired", &outcome);
       return outcome;
     }
-    --wdt_;
+    --core_.wdt;
   }
 
-  const std::uint64_t time = instret_;
-  const std::uint32_t at_pc = pc_;
-  if (!IsValidOpcode(static_cast<std::uint8_t>(ir_ >> 24))) {
+  const std::uint64_t time = core_.instret;
+  const std::uint32_t at_pc = core_.pc;
+  if (!IsValidOpcode(static_cast<std::uint8_t>(core_.ir >> 24))) {
     // Decode formats the event's detail text; only this path needs it.
     if (RaiseEdm(EdmType::kIllegalOpcode, at_pc,
-                 Decode(ir_).status().message(), &outcome)) {
+                 Decode(core_.ir).status().message(), &outcome)) {
       return outcome;
     }
     // Mechanism disabled: treat as NOP.
-    pc_ += 4;
-    ++instret_;
+    core_.pc += 4;
+    ++core_.instret;
     if (!Prefetch(&outcome)) return outcome;
     RunPostStepHooks();
     return outcome;
   }
-  const Instruction insn = DecodeFields(ir_);
+  const Instruction insn = DecodeFields(core_.ir);
 
 #ifndef NDEBUG
   std::uint16_t observed_uses = 0;
@@ -197,7 +226,7 @@ StepOutcome Cpu::Step() {
     write_reg(insn.ra, op(b, c));
   };
 
-  std::uint32_t next_pc = pc_ + 4;
+  std::uint32_t next_pc = core_.pc + 4;
   bool halt_after = false;
 
   switch (insn.opcode) {
@@ -209,8 +238,8 @@ StepOutcome Cpu::Step() {
     case Opcode::kSys: {
       switch (static_cast<SysCode>(static_cast<std::uint16_t>(insn.imm))) {
         case SysCode::kIterEnd:
-          ++iterations_;
-          wdt_ = config_.watchdog_period;
+          ++core_.iterations;
+          core_.wdt = config_.watchdog_period;
           outcome.kind = StepOutcome::Kind::kIterationEnd;
           break;
         case SysCode::kAssertFail:
@@ -222,13 +251,13 @@ StepOutcome Cpu::Step() {
           }
           break;
         case SysCode::kWdtKick:
-          wdt_ = config_.watchdog_period;
+          core_.wdt = config_.watchdog_period;
           break;
         case SysCode::kEmit:
           emitted_.push_back(read_reg(1));
           break;
         case SysCode::kRecovery:
-          ++recoveries_;
+          ++core_.recoveries;
           break;
         default:
           if (RaiseEdm(EdmType::kIllegalOpcode, at_pc,
@@ -336,7 +365,7 @@ StepOutcome Cpu::Step() {
     case Opcode::kLd: case Opcode::kLdb: {
       const std::uint32_t address =
           read_reg(insn.rb) + static_cast<std::uint32_t>(insn.imm);
-      mar_ = address;
+      core_.mar = address;
       std::uint32_t value = 0;
       MemFault fault;
       bool parity_error = false;
@@ -378,12 +407,12 @@ StepOutcome Cpu::Step() {
         }
         value = 0;  // disabled: bus reads as zero
       }
-      mdr_ = value;
+      core_.mdr = value;
       if (tracer_ != nullptr) {
         tracer_->OnMemoryRead(address, insn.opcode == Opcode::kLd ? 4 : 1,
                               time);
       }
-      write_reg(insn.ra, mdr_);
+      write_reg(insn.ra, core_.mdr);
       outcome.effects.mem_read_address = address;
       break;
     }
@@ -391,8 +420,8 @@ StepOutcome Cpu::Step() {
       const std::uint32_t address =
           read_reg(insn.rb) + static_cast<std::uint32_t>(insn.imm);
       const std::uint32_t value = read_reg(insn.ra);
-      mar_ = address;
-      mdr_ = value;
+      core_.mar = address;
+      core_.mdr = value;
       MemFault fault;
       if (insn.opcode == Opcode::kSt) {
         fault = dcache_.WriteWord(memory_, address, value);
@@ -444,22 +473,22 @@ StepOutcome Cpu::Step() {
         default: break;
       }
       if (taken) {
-        next_pc = pc_ + 4 +
+        next_pc = core_.pc + 4 +
                   static_cast<std::uint32_t>(insn.imm) * 4;
         outcome.effects.branch_taken = true;
       }
       break;
     }
     case Opcode::kJal:
-      write_reg(insn.ra, pc_ + 4);
-      next_pc = pc_ + 4 + static_cast<std::uint32_t>(insn.imm) * 4;
+      write_reg(insn.ra, core_.pc + 4);
+      next_pc = core_.pc + 4 + static_cast<std::uint32_t>(insn.imm) * 4;
       outcome.effects.branch_taken = true;
       outcome.effects.is_call = true;
       break;
     case Opcode::kJalr: {
       const std::uint32_t target =
           (read_reg(insn.rb) + static_cast<std::uint32_t>(insn.imm)) & ~3u;
-      write_reg(insn.ra, pc_ + 4);
+      write_reg(insn.ra, core_.pc + 4);
       next_pc = target;
       outcome.effects.branch_taken = true;
       outcome.effects.is_call = true;
@@ -479,19 +508,19 @@ StepOutcome Cpu::Step() {
   }
 #endif
 
-  ++instret_;
+  ++core_.instret;
   if (tracer_ != nullptr) {
     tracer_->OnInstructionRetired(*this, insn, time, at_pc);
   }
 
   if (halt_after) {
-    halted_ = true;
+    core_.halted = true;
     outcome.kind = StepOutcome::Kind::kHalted;
     RunPostStepHooks();
     return outcome;
   }
 
-  pc_ = next_pc;
+  core_.pc = next_pc;
   if (!Prefetch(&outcome)) return outcome;
   RunPostStepHooks();
   return outcome;

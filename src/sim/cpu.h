@@ -14,6 +14,7 @@
 // detected".
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -27,8 +28,6 @@
 #include "util/status.h"
 
 namespace goofi::sim {
-
-struct CpuState;  // sim/snapshot.h
 
 struct CpuConfig {
   CacheGeometry icache_geometry;
@@ -66,25 +65,59 @@ struct StepOutcome {
   StepEffects effects;
 };
 
+// The CPU's registers, latches and run counters. The CPU runs on this
+// block, so a snapshot stores a copy of it and the convergence test
+// compares it with ==.
+struct CpuCore {
+  std::array<std::uint32_t, 16> regs{};
+  std::uint32_t pc = 0;
+  std::uint32_t ir = 0;
+  std::uint32_t mar = 0;
+  std::uint32_t mdr = 0;
+  std::uint32_t wdt = 0;
+  bool ir_valid = false;
+  bool halted = false;
+  std::uint64_t instret = 0;
+  std::uint64_t iterations = 0;
+  std::uint64_t recoveries = 0;
+
+  friend bool operator==(const CpuCore&, const CpuCore&) = default;
+};
+
+// The CPU's complete run state: the core block, the emitted-output and
+// EDM event logs, and the owned memory image and cache arrays. Post-step
+// fault hooks, the tracer connection and the trap-handler configuration
+// are driver-side wiring re-established by the target's run phases, not
+// state.
+struct CpuState : CpuCore {
+  std::vector<std::uint32_t> emitted;
+  std::vector<EdmEvent> edm_events;
+  MemoryState memory;
+  CacheState icache;
+  CacheState dcache;
+};
+
 class Cpu {
  public:
   explicit Cpu(CpuConfig config = {});
 
   // --- architectural state (all scan-chain reachable) ------------------
-  std::uint32_t reg(unsigned index) const { return index == 0 ? 0 : regs_[index]; }
-  void set_reg(unsigned index, std::uint32_t value) {
-    if (index != 0) regs_[index] = value;
+  std::uint32_t reg(unsigned index) const {
+    return index == 0 ? 0 : core_.regs[index];
   }
-  std::uint32_t pc() const { return pc_; }
-  void set_pc(std::uint32_t pc) { pc_ = pc; }
-  std::uint32_t ir() const { return ir_; }
-  void set_ir(std::uint32_t ir) { ir_ = ir; }
-  std::uint32_t mar() const { return mar_; }   // memory address latch
-  void set_mar(std::uint32_t v) { mar_ = v; }
-  std::uint32_t mdr() const { return mdr_; }   // memory data latch
-  void set_mdr(std::uint32_t v) { mdr_ = v; }
-  std::uint32_t watchdog() const { return wdt_; }
-  void set_watchdog(std::uint32_t v) { wdt_ = v; }
+  void set_reg(unsigned index, std::uint32_t value) {
+    if (index != 0) core_.regs[index] = value;
+  }
+  std::uint32_t pc() const { return core_.pc; }
+  void set_pc(std::uint32_t pc) { core_.pc = pc; }
+  std::uint32_t ir() const { return core_.ir; }
+  void set_ir(std::uint32_t ir) { core_.ir = ir; }
+  std::uint32_t mar() const { return core_.mar; }   // memory address latch
+  void set_mar(std::uint32_t v) { core_.mar = v; }
+  std::uint32_t mdr() const { return core_.mdr; }   // memory data latch
+  void set_mdr(std::uint32_t v) { core_.mdr = v; }
+  std::uint32_t watchdog() const { return core_.wdt; }
+  void set_watchdog(std::uint32_t v) { core_.wdt = v; }
 
   Memory& memory() { return memory_; }
   const Memory& memory() const { return memory_; }
@@ -103,14 +136,14 @@ class Cpu {
   }
 
   // --- run status -------------------------------------------------------
-  bool halted() const { return halted_; }
-  std::uint64_t instret() const { return instret_; }  // time base
-  std::uint64_t iteration_count() const { return iterations_; }
+  bool halted() const { return core_.halted; }
+  std::uint64_t instret() const { return core_.instret; }  // time base
+  std::uint64_t iteration_count() const { return core_.iterations; }
   // Emitted output stream (SYS kEmit of r1) — part of the workload's
   // observable result alongside its memory output region.
   const std::vector<std::uint32_t>& emitted() const { return emitted_; }
   const std::vector<EdmEvent>& edm_events() const { return edm_events_; }
-  std::uint64_t recovery_count() const { return recoveries_; }
+  std::uint64_t recovery_count() const { return core_.recoveries; }
 
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
@@ -136,12 +169,12 @@ class Cpu {
   CpuState CaptureState() const;
   Status RestoreState(const CpuState& state);
 
-  // Checkpoint fork's convergence test: equal to `state` in registers,
-  // latches, run counters, both cache arrays, the emitted words and the
-  // EDM log. Memory is left to Memory::DiffersOnlyWhere; the cache
-  // statistics are not compared. The first `emitted_from` emitted words
-  // are known to be equal (both runs forked from one snapshot) and are
-  // skipped. Compares in place.
+  // Checkpoint fork's convergence test: the core block (registers,
+  // latches, run counters) == `state`'s, and so are both cache arrays,
+  // the emitted words and the EDM log. Memory is left to
+  // Memory::DiffersOnlyWhere; the cache statistics are not compared.
+  // The first `emitted_from` emitted words are known to be equal (both
+  // runs forked from one snapshot) and are skipped. Compares in place.
   bool MatchesExceptMemory(const CpuState& state,
                            std::size_t emitted_from) const;
 
@@ -154,7 +187,7 @@ class Cpu {
   // fired and the CPU halted.
   bool RaiseEdm(EdmType type, std::uint32_t pc, std::string detail,
                 StepOutcome* outcome);
-  // Prefetch `ir` from `pc_`; may raise fetch-side EDMs.
+  // Prefetch `ir` from `core_.pc`; may raise fetch-side EDMs.
   bool Prefetch(StepOutcome* outcome);
   // Prefetch's fetch-side EDMs, off its hot path: `fault` and
   // `parity_error` are the outcome of the first fetch attempt
@@ -170,18 +203,7 @@ class Cpu {
   Cache icache_;
   Cache dcache_;
 
-  std::uint32_t regs_[16] = {0};
-  std::uint32_t pc_ = 0;
-  std::uint32_t ir_ = 0;
-  std::uint32_t mar_ = 0;
-  std::uint32_t mdr_ = 0;
-  std::uint32_t wdt_ = 0;
-  bool ir_valid_ = false;
-  bool halted_ = false;
-
-  std::uint64_t instret_ = 0;
-  std::uint64_t iterations_ = 0;
-  std::uint64_t recoveries_ = 0;
+  CpuCore core_;
   std::vector<std::uint32_t> emitted_;
   std::vector<EdmEvent> edm_events_;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/cache.h"
-#include "sim/snapshot.h"
 
 namespace goofi::sim {
 
@@ -14,11 +13,9 @@ void AccessPathInjector::Arm(ArmedCacheFault fault) {
   }
   // Applies from the next access to its unit onward.
   fault.next_access =
-      unit_accesses_[static_cast<std::size_t>(fault.unit)] + 1;
-  armed_.push_back(fault);
+      state_.unit_accesses[static_cast<std::size_t>(fault.unit)] + 1;
+  state_.armed.push_back(fault);
 }
-
-void AccessPathInjector::ClearFaults() { armed_.clear(); }
 
 namespace {
 
@@ -94,13 +91,13 @@ std::uint32_t AccessPathInjector::Apply(const ArmedCacheFault& fault,
   if (fault.array == CacheArray::kInflight) {
     if (!is_read || !InflightMatches(fault, cache, address)) return 0;
     if (fault.bit >= 32) return 0;
-    ++inflight_flips_;
-    ++applied_;
+    ++state_.inflight_flips;
+    ++state_.applied;
     return 1u << fault.bit;
   }
   (void)unit;
   MutateArray(fault, cache);
-  ++applied_;
+  ++state_.applied;
   return 0;
 }
 
@@ -108,9 +105,10 @@ std::uint32_t AccessPathInjector::OnAccess(MemUnit unit, Cache* cache,
                                            std::uint32_t address,
                                            bool is_read) {
   const std::size_t u = static_cast<std::size_t>(unit);
-  const std::uint64_t n = ++unit_accesses_[u];
+  const std::uint64_t n = ++state_.unit_accesses[u];
   std::uint32_t mask = 0;
-  for (ArmedCacheFault& fault : armed_) {
+  std::vector<ArmedCacheFault>& armed = state_.armed;
+  for (ArmedCacheFault& fault : armed) {
     if (fault.unit != unit) continue;
     switch (fault.kind) {
       case ArmedFaultKind::kPermanentStuckAt:
@@ -132,13 +130,13 @@ std::uint32_t AccessPathInjector::OnAccess(MemUnit unit, Cache* cache,
       }
     }
   }
-  armed_.erase(std::remove_if(armed_.begin(), armed_.end(),
-                              [](const ArmedCacheFault& fault) {
-                                return fault.kind !=
-                                           ArmedFaultKind::kPermanentStuckAt &&
-                                       fault.remaining == 0;
-                              }),
-               armed_.end());
+  armed.erase(std::remove_if(armed.begin(), armed.end(),
+                             [](const ArmedCacheFault& fault) {
+                               return fault.kind !=
+                                          ArmedFaultKind::kPermanentStuckAt &&
+                                      fault.remaining == 0;
+                             }),
+              armed.end());
   return mask;
 }
 
@@ -154,26 +152,6 @@ void AccessPathInjector::PostWrite(MemUnit unit, Cache* cache,
                                    std::uint32_t value) {
   (void)value;
   OnAccess(unit, cache, address, /*is_read=*/false);
-}
-
-FaultInjectorState AccessPathInjector::CaptureState() const {
-  FaultInjectorState state;
-  state.armed = armed_;
-  state.unit_accesses = unit_accesses_;
-  state.applied = applied_;
-  state.inflight_flips = inflight_flips_;
-  return state;
-}
-
-void AccessPathInjector::RestoreState(const FaultInjectorState& state) {
-  armed_ = state.armed;
-  unit_accesses_ = state.unit_accesses;
-  applied_ = state.applied;
-  inflight_flips_ = state.inflight_flips;
-}
-
-bool AccessPathInjector::MatchesState(const FaultInjectorState& state) const {
-  return armed_ == state.armed && unit_accesses_ == state.unit_accesses;
 }
 
 }  // namespace goofi::sim

@@ -29,8 +29,7 @@
 
 namespace goofi::sim {
 
-class Cache;                // sim/cache.h
-struct FaultInjectorState;  // sim/snapshot.h
+class Cache;  // sim/cache.h
 
 // Which unit of the hierarchy an access (or an armed fault) belongs to.
 enum class MemUnit : std::uint32_t {
@@ -61,8 +60,8 @@ enum class ArmedFaultKind : std::uint32_t {
 // from the real cache geometry. For MemUnit::kMainMemory only kInflight
 // is meaningful and `set` holds the word-aligned byte address (memory
 // has no arrays the access path can reach). Plain data so it snapshots
-// verbatim (sim/snapshot.h FaultInjectorState) and forked runs replay
-// the armed window bit-exactly.
+// verbatim (FaultInjectorState below) and forked runs replay the armed
+// window bit-exactly.
 struct ArmedCacheFault {
   MemUnit unit = MemUnit::kDcache;
   CacheArray array = CacheArray::kData;
@@ -79,6 +78,21 @@ struct ArmedCacheFault {
 
   friend bool operator==(const ArmedCacheFault&,
                          const ArmedCacheFault&) = default;
+};
+
+// The access-path injector's armed faults, access counters and tallies.
+// Armed faults are part of the run state: a checkpoint taken with a
+// fault armed mid-window must fork into a continuation whose remaining
+// applications land on exactly the same accesses as replay-from-reset.
+// The injector runs on this struct, so a snapshot is a copy of it.
+struct FaultInjectorState {
+  std::vector<ArmedCacheFault> armed;
+  std::array<std::uint64_t, kMemUnitCount> unit_accesses{};
+  std::uint64_t applied = 0;
+  std::uint64_t inflight_flips = 0;
+
+  friend bool operator==(const FaultInjectorState&,
+                         const FaultInjectorState&) = default;
 };
 
 // The access-path hook interface (Sniper's preRead/postWrite shape).
@@ -108,23 +122,18 @@ class AccessPathInjector : public FaultInjector {
  public:
   // Arms a fault; it starts applying on the next access to its unit.
   void Arm(ArmedCacheFault fault);
-  void ClearFaults();
+  void ClearFaults() { state_.armed.clear(); }
 
   // Back to power-on: no armed faults, all counters zero (the target's
   // initTestCard calls this so experiments cannot leak faults into the
   // next run).
-  void Reset() {
-    armed_.clear();
-    unit_accesses_.fill(0);
-    applied_ = 0;
-    inflight_flips_ = 0;
-  }
+  void Reset() { state_ = FaultInjectorState{}; }
 
-  const std::vector<ArmedCacheFault>& armed() const { return armed_; }
-  std::uint64_t applied_count() const { return applied_; }
-  std::uint64_t inflight_flip_count() const { return inflight_flips_; }
+  const std::vector<ArmedCacheFault>& armed() const { return state_.armed; }
+  std::uint64_t applied_count() const { return state_.applied; }
+  std::uint64_t inflight_flip_count() const { return state_.inflight_flips; }
   std::uint64_t unit_access_count(MemUnit unit) const {
-    return unit_accesses_[static_cast<std::size_t>(unit)];
+    return state_.unit_accesses[static_cast<std::size_t>(unit)];
   }
 
   std::uint32_t PreRead(MemUnit unit, Cache* cache, std::uint32_t address,
@@ -135,12 +144,15 @@ class AccessPathInjector : public FaultInjector {
   // Checkpoint support (sim/snapshot.h): armed faults and access
   // counters round-trip so a snapshot taken with a fault armed
   // mid-window forks into an identical continuation.
-  FaultInjectorState CaptureState() const;
-  void RestoreState(const FaultInjectorState& state);
+  FaultInjectorState CaptureState() const { return state_; }
+  void RestoreState(const FaultInjectorState& state) { state_ = state; }
   // The armed faults and access counters equal `state`'s: the state
   // that decides which later accesses a fault strikes. The applied and
   // in-flight tallies are statistics and are not compared.
-  bool MatchesState(const FaultInjectorState& state) const;
+  bool MatchesState(const FaultInjectorState& state) const {
+    return state_.armed == state.armed &&
+           state_.unit_accesses == state.unit_accesses;
+  }
 
  private:
   // Applies `fault` to the arrays of `cache` (or the in-flight mask for
@@ -150,10 +162,7 @@ class AccessPathInjector : public FaultInjector {
   std::uint32_t OnAccess(MemUnit unit, Cache* cache, std::uint32_t address,
                          bool is_read);
 
-  std::vector<ArmedCacheFault> armed_;
-  std::array<std::uint64_t, kMemUnitCount> unit_accesses_{};
-  std::uint64_t applied_ = 0;
-  std::uint64_t inflight_flips_ = 0;
+  FaultInjectorState state_;
 };
 
 }  // namespace goofi::sim

@@ -1,9 +1,11 @@
 #include "sim/memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/fault_injector.h"
 #include "sim/read_ahead.h"
+#include "util/strings.h"
 
 namespace goofi::sim {
 
@@ -168,6 +170,63 @@ void Memory::ClearContents() {
   for (Backing& backing : backings_) {
     std::fill(backing.bytes.begin(), backing.bytes.end(), 0);
   }
+}
+
+MemoryState Memory::CaptureState() const {
+  MemoryState state;
+  state.backings.reserve(backings_.size());
+  for (const Backing& backing : backings_) {
+    state.backings.push_back(backing.bytes);
+  }
+  return state;
+}
+
+Status Memory::RestoreState(const MemoryState& state) {
+  if (state.backings.size() != backings_.size()) {
+    return InvalidArgumentError(
+        StrFormat("memory snapshot has %zu segments, memory has %zu",
+                  state.backings.size(), backings_.size()));
+  }
+  for (std::size_t i = 0; i < backings_.size(); ++i) {
+    if (state.backings[i].size() != backings_[i].bytes.size()) {
+      return InvalidArgumentError(StrFormat(
+          "memory snapshot segment %zu is %zu bytes, segment '%s' is %zu",
+          i, state.backings[i].size(), backings_[i].segment.name.c_str(),
+          backings_[i].bytes.size()));
+    }
+  }
+  for (std::size_t i = 0; i < backings_.size(); ++i) {
+    backings_[i].bytes = state.backings[i];
+  }
+  return Status::Ok();
+}
+
+bool Memory::DiffersOnlyWhere(
+    const MemoryState& state,
+    const std::function<bool(std::size_t, std::size_t)>& may_differ) const {
+  // Equal blocks are skipped with one memcmp each; only a differing
+  // block is walked word by word.
+  constexpr std::size_t kBlock = 256;
+  for (std::size_t b = 0; b < backings_.size(); ++b) {
+    const std::vector<std::uint8_t>& live = backings_[b].bytes;
+    const std::vector<std::uint8_t>& golden = state.backings[b];
+    for (std::size_t block = 0; block < live.size(); block += kBlock) {
+      const std::size_t end = std::min(live.size(), block + kBlock);
+      if (std::memcmp(live.data() + block, golden.data() + block,
+                      end - block) == 0) {
+        continue;
+      }
+      for (std::size_t word = block; word < end; word += 4) {
+        const std::size_t length = std::min<std::size_t>(4, end - word);
+        if (std::memcmp(live.data() + word, golden.data() + word, length) !=
+                0 &&
+            !may_differ(b, word / 4)) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace goofi::sim

@@ -17,7 +17,6 @@
 
 namespace goofi::sim {
 
-struct MemoryState;        // sim/snapshot.h
 class FaultInjector;       // sim/fault_injector.h
 class ReadAheadRecorder;   // sim/read_ahead.h
 
@@ -40,6 +39,12 @@ struct Segment {
   // Device/I-O segments bypass the data cache (the environment simulator
   // writes them from outside the chip, so cached copies would go stale).
   bool uncacheable = false;
+};
+
+// Segment contents by backing index; the segment map itself is part of
+// the board's identity (test_card Initialize) and must already match.
+struct MemoryState {
+  std::vector<std::vector<std::uint8_t>> backings;
 };
 
 class Memory {

@@ -42,7 +42,7 @@ TapInstruction DecodeInstruction(unsigned code) {
 
 TapController::TapController(const ScanChainSet* chains, Cpu* cpu)
     : chains_(chains), cpu_(cpu) {
-  dr_shift_.Resize(1);
+  state_.dr_shift.Resize(1);
 }
 
 TapState TapController::NextState(bool tms) const {
@@ -68,11 +68,11 @@ TapState TapController::NextState(bool tms) const {
       {S::kShiftIr, S::kUpdateIr},            // Exit2-IR
       {S::kRunTestIdle, S::kSelectDrScan},    // Update-IR
   };
-  return kNext[static_cast<int>(state_)][tms ? 1 : 0];
+  return kNext[static_cast<int>(state_.state)][tms ? 1 : 0];
 }
 
 std::size_t TapController::SelectedRegisterLength() const {
-  switch (instruction_) {
+  switch (state_.instruction) {
     case TapInstruction::kIdcode: return 32;
     case TapInstruction::kBypass: return 1;
     case TapInstruction::kScanInternal: {
@@ -88,86 +88,86 @@ std::size_t TapController::SelectedRegisterLength() const {
 }
 
 void TapController::CaptureSelected() {
-  dr_length_ = SelectedRegisterLength();
-  switch (instruction_) {
+  state_.dr_length = SelectedRegisterLength();
+  switch (state_.instruction) {
     case TapInstruction::kIdcode:
-      dr_shift_.Resize(32);
-      dr_shift_.SetField(0, 32, 0x7408D001u);
+      state_.dr_shift.Resize(32);
+      state_.dr_shift.SetField(0, 32, 0x7408D001u);
       break;
     case TapInstruction::kBypass:
-      dr_shift_.Resize(1);
-      dr_shift_.Set(0, false);
+      state_.dr_shift.Resize(1);
+      state_.dr_shift.Set(0, false);
       break;
     case TapInstruction::kScanInternal:
-      dr_shift_ = chains_->FindChain("internal")->Capture(*cpu_);
+      state_.dr_shift = chains_->FindChain("internal")->Capture(*cpu_);
       break;
     case TapInstruction::kScanBoundary:
-      dr_shift_ = chains_->FindChain("boundary")->Capture(*cpu_);
+      state_.dr_shift = chains_->FindChain("boundary")->Capture(*cpu_);
       break;
   }
 }
 
 void TapController::UpdateSelected() {
-  switch (instruction_) {
+  switch (state_.instruction) {
     case TapInstruction::kIdcode:
     case TapInstruction::kBypass:
       break;  // no update side effect
     case TapInstruction::kScanInternal:
-      chains_->FindChain("internal")->Apply(*cpu_, dr_shift_);
+      chains_->FindChain("internal")->Apply(*cpu_, state_.dr_shift);
       break;
     case TapInstruction::kScanBoundary:
-      chains_->FindChain("boundary")->Apply(*cpu_, dr_shift_);
+      chains_->FindChain("boundary")->Apply(*cpu_, state_.dr_shift);
       break;
   }
 }
 
 bool TapController::Clock(bool tms, bool tdi) {
-  ++tck_cycles_;
+  ++state_.tck_cycles;
   bool tdo = false;
   // Actions of the *current* state on this clock.
-  switch (state_) {
+  switch (state_.state) {
     case TapState::kCaptureDr:
       CaptureSelected();
       break;
     case TapState::kShiftDr:
       // Bit 0 exits on TDO; TDI enters at the top.
-      tdo = dr_shift_.ShiftRightInsertTop(tdi);
+      tdo = state_.dr_shift.ShiftRightInsertTop(tdi);
       break;
     case TapState::kCaptureIr:
-      ir_shift_ = 0x1;  // IEEE: capture 0b...01
+      state_.ir_shift = 0x1;  // IEEE: capture 0b...01
       break;
     case TapState::kShiftIr:
-      tdo = (ir_shift_ & 1) != 0;
-      ir_shift_ = static_cast<std::uint8_t>(
-          (ir_shift_ >> 1) | (tdi ? 0x8 : 0x0));
+      tdo = (state_.ir_shift & 1) != 0;
+      state_.ir_shift = static_cast<std::uint8_t>(
+          (state_.ir_shift >> 1) | (tdi ? 0x8 : 0x0));
       break;
     default:
       break;
   }
   const TapState next = NextState(tms);
   // Update actions fire on entering the update states.
-  if (next == TapState::kUpdateDr && state_ != TapState::kUpdateDr) {
-    // dr_shift_ now holds the image shifted in through TDI.
+  if (next == TapState::kUpdateDr && state_.state != TapState::kUpdateDr) {
+    // state_.dr_shift now holds the image shifted in through TDI.
     UpdateSelected();
   }
-  if (next == TapState::kUpdateIr && state_ != TapState::kUpdateIr) {
-    instruction_ = DecodeInstruction(ir_shift_ & 0xf);
+  if (next == TapState::kUpdateIr && state_.state != TapState::kUpdateIr) {
+    state_.instruction = DecodeInstruction(state_.ir_shift & 0xf);
   }
   if (next == TapState::kTestLogicReset) {
-    instruction_ = TapInstruction::kBypass;
+    state_.instruction = TapInstruction::kBypass;
   }
-  state_ = next;
+  state_.state = next;
   return tdo;
 }
 
 void TapController::ShiftDr(std::size_t count, const BitVector* tdi,
                             BitVector* tdo) {
-  assert(state_ == TapState::kShiftDr && count >= 1);
+  assert(state_.state == TapState::kShiftDr && count >= 1);
   // Clock() in Shift-DR shifts one bit per TCK; TMS 0 keeps the state,
   // and the final TMS 1 enters Exit1-DR, which has no update action.
-  tck_cycles_ += count;
-  dr_shift_.ShiftThrough(count, tdi, tdo);
-  state_ = TapState::kExit1Dr;
+  state_.tck_cycles += count;
+  state_.dr_shift.ShiftThrough(count, tdi, tdo);
+  state_.state = TapState::kExit1Dr;
 }
 
 void TapController::Reset() {
@@ -177,8 +177,8 @@ void TapController::Reset() {
 
 void TapController::LoadInstruction(TapInstruction instruction) {
   // From Run-Test/Idle: 1,1 -> Select-IR; 0 -> Capture-IR; 0 -> Shift-IR.
-  if (state_ == TapState::kTestLogicReset) Clock(false, false);
-  assert(state_ == TapState::kRunTestIdle);
+  if (state_.state == TapState::kTestLogicReset) Clock(false, false);
+  assert(state_.state == TapState::kRunTestIdle);
   Clock(true, false);   // Select-DR-Scan
   Clock(true, false);   // Select-IR-Scan
   Clock(false, false);  // Capture-IR
@@ -196,7 +196,7 @@ void TapController::LoadInstruction(TapInstruction instruction) {
 BitVector TapController::ReadDataRegister() {
   // Read without modifying: shift the captured image out, feeding zeros,
   // then shift the same bits right back in before Update-DR.
-  assert(state_ == TapState::kRunTestIdle);
+  assert(state_.state == TapState::kRunTestIdle);
   Clock(true, false);   // Select-DR-Scan
   Clock(false, false);  // Capture-DR
   Clock(false, false);  // -> Shift-DR (capture happened on that clock)
@@ -215,7 +215,7 @@ BitVector TapController::ReadDataRegister() {
 }
 
 BitVector TapController::ExchangeDataRegister(const BitVector& image) {
-  assert(state_ == TapState::kRunTestIdle);
+  assert(state_.state == TapState::kRunTestIdle);
   assert(image.size() == SelectedRegisterLength());
   Clock(true, false);   // Select-DR-Scan
   Clock(false, false);  // Capture-DR

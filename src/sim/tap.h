@@ -27,8 +27,6 @@
 
 namespace goofi::sim {
 
-struct TapControllerState;  // sim/snapshot.h
-
 enum class TapState : std::uint8_t {
   kTestLogicReset, kRunTestIdle,
   kSelectDrScan, kCaptureDr, kShiftDr, kExit1Dr, kPauseDr, kExit2Dr,
@@ -46,14 +44,30 @@ enum class TapInstruction : std::uint8_t {
   kBypass = 0xf,
 };
 
+// The TAP controller's FSM position, shift registers and cycle counter
+// — a checkpoint taken between scan operations restores mid-campaign
+// TAP state exactly. The controller runs on this struct, so a snapshot
+// is a copy of it.
+struct TapControllerState {
+  TapState state = TapState::kTestLogicReset;
+  TapInstruction instruction = TapInstruction::kBypass;
+  std::uint8_t ir_shift = 0;
+  BitVector dr_shift;
+  std::size_t dr_length = 1;
+  std::uint64_t tck_cycles = 0;
+
+  friend bool operator==(const TapControllerState&,
+                         const TapControllerState&) = default;
+};
+
 class TapController {
  public:
   // `chains` and `cpu` must outlive the controller.
   TapController(const ScanChainSet* chains, Cpu* cpu);
 
-  TapState state() const { return state_; }
-  TapInstruction instruction() const { return instruction_; }
-  std::uint64_t tck_cycles() const { return tck_cycles_; }
+  TapState state() const { return state_.state; }
+  TapInstruction instruction() const { return state_.instruction; }
+  std::uint64_t tck_cycles() const { return state_.tck_cycles; }
 
   // Clock one TCK edge with the given TMS/TDI levels; returns TDO.
   bool Clock(bool tms, bool tdi);
@@ -71,8 +85,8 @@ class TapController {
 
   // Checkpoint support (sim/snapshot.h): FSM position, shift registers
   // and the cycle counter. The chain/CPU wiring is identity, not state.
-  TapControllerState CaptureState() const;
-  void RestoreState(const TapControllerState& state);
+  TapControllerState CaptureState() const { return state_; }
+  void RestoreState(const TapControllerState& state) { state_ = state; }
 
   // --- test-card conveniences built on Clock() and ShiftDr() -----------
   // Load a TAP instruction through Shift-IR.
@@ -94,12 +108,7 @@ class TapController {
 
   const ScanChainSet* chains_;
   Cpu* cpu_;
-  TapState state_ = TapState::kTestLogicReset;
-  TapInstruction instruction_ = TapInstruction::kBypass;
-  std::uint8_t ir_shift_ = 0;
-  BitVector dr_shift_;
-  std::size_t dr_length_ = 1;
-  std::uint64_t tck_cycles_ = 0;
+  TapControllerState state_;
 };
 
 }  // namespace goofi::sim

@@ -26,109 +26,69 @@ const std::string& EngineEnvironment::name() const {
 }
 
 void EngineEnvironment::Reset(sim::Memory& memory) {
-  speed_ = kInitialSpeed;
-  step_ = 0;
-  outputs_.clear();
+  state_.speed = kInitialSpeed;
+  state_.step = 0;
+  state_.outputs.clear();
   (void)memory.PokeWord(kIoBase + kIoInOffset,
-                        static_cast<std::uint32_t>(speed_));
+                        static_cast<std::uint32_t>(state_.speed));
   (void)memory.PokeWord(kIoBase + kIoOutOffset, 0);
   (void)memory.PokeWord(kIoBase + kIoIterOffset, 0);
 }
 
 bool EngineEnvironment::OnIterationEnd(sim::Memory& memory) {
   const std::uint32_t actuator = PeekIoWord(memory, kIoOutOffset);
-  outputs_.push_back(actuator);
-  ++step_;
+  state_.outputs.push_back(actuator);
+  const std::uint64_t step = ++state_.step;
 
   // Square-wave load: alternates every 8 iterations, so the controller
   // keeps getting re-excited over the 40-iteration mission.
   const std::int32_t load =
-      kBaseLoad + ((step_ / 8) % 2 == 0 ? 0 : kLoadSwing);
+      kBaseLoad + ((step / 8) % 2 == 0 ? 0 : kLoadSwing);
   // First-order shaft dynamics, integer arithmetic for determinism.
+  std::int32_t& speed = state_.speed;
   const std::int32_t thrust =
-      static_cast<std::int32_t>(actuator & 0xffff) - load - speed_ / 8;
-  speed_ += thrust / 4;
-  speed_ = std::clamp(speed_, 0, kMaxSpeed);
+      static_cast<std::int32_t>(actuator & 0xffff) - load - speed / 8;
+  speed += thrust / 4;
+  speed = std::clamp(speed, 0, kMaxSpeed);
 
   (void)memory.PokeWord(kIoBase + kIoInOffset,
-                        static_cast<std::uint32_t>(speed_));
+                        static_cast<std::uint32_t>(speed));
   (void)memory.PokeWord(kIoBase + kIoIterOffset,
-                        static_cast<std::uint32_t>(step_));
+                        static_cast<std::uint32_t>(step));
   return true;
 }
 
-namespace {
-
-void AppendWord64(std::vector<std::uint8_t>* blob, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    blob->push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-std::uint64_t ReadWord64(const std::vector<std::uint8_t>& blob,
-                         std::size_t offset) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(blob[offset + i]) << (8 * i);
-  }
-  return value;
-}
-
-}  // namespace
-
-Status Environment::RestoreState(const std::vector<std::uint8_t>& blob) {
-  if (!blob.empty()) {
+Status Environment::RestoreState(const std::any& state) {
+  if (state.has_value()) {
     return UnimplementedError(
         "environment '" + name() + "' does not implement RestoreState");
   }
   return Status::Ok();
 }
 
-std::vector<std::uint8_t> EngineEnvironment::CaptureState() const {
-  // Little-endian: speed, step, output count, outputs. The IO page the
-  // plant exchanges through lives in target memory and is restored with
-  // the CPU's memory image, not here.
-  std::vector<std::uint8_t> blob;
-  AppendWord64(&blob, static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(speed_)));
-  AppendWord64(&blob, step_);
-  AppendWord64(&blob, outputs_.size());
-  for (const std::uint32_t output : outputs_) {
-    AppendWord64(&blob, output);
+Status EngineEnvironment::RestoreState(const std::any& state) {
+  const State* engine = std::any_cast<State>(&state);
+  if (engine == nullptr) {
+    return InvalidArgumentError(
+        "snapshot carries no engine environment state");
   }
-  return blob;
-}
-
-Status EngineEnvironment::RestoreState(
-    const std::vector<std::uint8_t>& blob) {
-  if (blob.size() < 24 || blob.size() != 24 + 8 * ReadWord64(blob, 16)) {
-    return InvalidArgumentError("malformed engine environment snapshot");
-  }
-  speed_ = static_cast<std::int32_t>(
-      static_cast<std::int64_t>(ReadWord64(blob, 0)));
-  step_ = ReadWord64(blob, 8);
-  outputs_.clear();
-  const std::uint64_t count = ReadWord64(blob, 16);
-  outputs_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    outputs_.push_back(
-        static_cast<std::uint32_t>(ReadWord64(blob, 24 + 8 * i)));
-  }
+  state_ = *engine;
   return Status::Ok();
 }
 
-bool EngineEnvironment::MatchesState(const std::vector<std::uint8_t>& blob,
+bool EngineEnvironment::MatchesState(const std::any& state,
                                      std::size_t outputs_from) const {
-  if (blob.size() != 24 + 8 * outputs_.size() ||
-      ReadWord64(blob, 0) != static_cast<std::uint64_t>(
-                                 static_cast<std::int64_t>(speed_)) ||
-      ReadWord64(blob, 8) != step_ || ReadWord64(blob, 16) != outputs_.size()) {
+  const State* golden = std::any_cast<State>(&state);
+  if (golden == nullptr || golden->speed != state_.speed ||
+      golden->step != state_.step ||
+      golden->outputs.size() != state_.outputs.size()) {
     return false;
   }
-  for (std::size_t i = outputs_from; i < outputs_.size(); ++i) {
-    if (ReadWord64(blob, 24 + 8 * i) != outputs_[i]) return false;
-  }
-  return true;
+  outputs_from = std::min(outputs_from, state_.outputs.size());
+  return std::equal(
+      state_.outputs.begin() + static_cast<std::ptrdiff_t>(outputs_from),
+      state_.outputs.end(),
+      golden->outputs.begin() + static_cast<std::ptrdiff_t>(outputs_from));
 }
 
 Result<std::unique_ptr<Environment>> MakeEnvironment(

@@ -9,6 +9,7 @@
 // reference run.
 #pragma once
 
+#include <any>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -37,21 +38,23 @@ class Environment {
   // Actuator command observed at each exchange so far.
   virtual const std::vector<std::uint32_t>& outputs() const = 0;
 
-  // Checkpoint support: serialize the plant state into an opaque blob
-  // (it rides in sim::Snapshot::extras) and reinstate it. The defaults
-  // fit stateless environments — an empty blob that restores to a
-  // no-op; stateful models must override both.
-  virtual std::vector<std::uint8_t> CaptureState() const { return {}; }
-  virtual Status RestoreState(const std::vector<std::uint8_t>& blob);
+  // Checkpoint support: a copy of the plant state, held by value in
+  // sim::Snapshot::extras as the model's own state struct, and its
+  // reinstatement. The defaults fit stateless environments: no value,
+  // and a restore of no value is a no-op. A stateful model overrides
+  // all three, and its RestoreState rejects a value that is missing or
+  // of another type with InvalidArgument.
+  virtual std::any CaptureState() const { return {}; }
+  virtual Status RestoreState(const std::any& state);
 
-  // Checkpoint fork's convergence test: the live plant equals the one
-  // `blob` (a CaptureState result) describes, compared in place. The
-  // first `outputs_from` outputs are known to be equal (both runs
-  // forked from one snapshot) and are skipped.
-  virtual bool MatchesState(const std::vector<std::uint8_t>& blob,
+  // Checkpoint fork's convergence test: the live plant equals `state`
+  // (a CaptureState result), compared in place. The first
+  // `outputs_from` outputs are known to be equal (both runs forked from
+  // one snapshot) and are skipped.
+  virtual bool MatchesState(const std::any& state,
                             std::size_t outputs_from) const {
     (void)outputs_from;
-    return blob.empty();
+    return !state.has_value();
   }
 };
 
@@ -64,20 +67,28 @@ class EngineEnvironment : public Environment {
   void Reset(sim::Memory& memory) override;
   bool OnIterationEnd(sim::Memory& memory) override;
   const std::vector<std::uint32_t>& outputs() const override {
-    return outputs_;
+    return state_.outputs;
   }
 
-  std::int32_t speed() const { return speed_; }
+  // The plant's whole run state: the shaft speed, the exchange count
+  // and the actuator history. The IO page the plant exchanges through
+  // lives in target memory and is restored with the CPU's memory
+  // image, not here.
+  struct State {
+    std::int32_t speed = 0;
+    std::uint64_t step = 0;
+    std::vector<std::uint32_t> outputs;
+  };
 
-  std::vector<std::uint8_t> CaptureState() const override;
-  Status RestoreState(const std::vector<std::uint8_t>& blob) override;
-  bool MatchesState(const std::vector<std::uint8_t>& blob,
+  std::int32_t speed() const { return state_.speed; }
+
+  std::any CaptureState() const override { return state_; }
+  Status RestoreState(const std::any& state) override;
+  bool MatchesState(const std::any& state,
                     std::size_t outputs_from) const override;
 
  private:
-  std::int32_t speed_ = 0;
-  std::uint64_t step_ = 0;
-  std::vector<std::uint32_t> outputs_;
+  State state_;
 };
 
 // Factory keyed by WorkloadSpec::environment ("engine").

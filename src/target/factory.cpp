@@ -33,14 +33,4 @@ Result<TargetFactory> BuiltinTargetFactory(const std::string& target_name) {
   return NotFoundError("no builtin target factory for '" + target_name + "'");
 }
 
-TargetFactory WithWorkload(TargetFactory factory, WorkloadSpec workload) {
-  return [factory = std::move(factory), workload = std::move(workload)]()
-             -> Result<std::unique_ptr<TargetSystemInterface>> {
-    ASSIGN_OR_RETURN(std::unique_ptr<TargetSystemInterface> target,
-                     factory());
-    RETURN_IF_ERROR(target->SetWorkload(workload));
-    return target;
-  };
-}
-
 }  // namespace goofi::target

@@ -33,9 +33,4 @@ using TargetFactory =
 // factory-construction time, not at first use.
 Result<TargetFactory> BuiltinTargetFactory(const std::string& target_name);
 
-// Wrap `factory` so every minted instance also gets `workload`
-// installed (a per-worker copy; targets assemble their own image from
-// it): a ready-to-run target for every campaign worker.
-TargetFactory WithWorkload(TargetFactory factory, WorkloadSpec workload);
-
 }  // namespace goofi::target

@@ -42,20 +42,19 @@ FrameworkTarget::ListLocations() const {
 }
 
 void FrameworkTarget::StepUntil(std::uint64_t until) {
-  while (time_ < std::min(until, kDuration) && !detected_) {
-    ++time_;
-    counters_[0] += static_cast<std::uint32_t>(time_);
-    counters_[1] ^= counters_[0];
-    counters_[2] = (counters_[2] << 1 | counters_[2] >> 31) + 1;
-    counters_[3] = counters_[0] + counters_[1] + counters_[2];
-    if (counters_[0] > kCounterCeiling) detected_ = true;
+  std::array<std::uint32_t, kCounters>& counters = machine_.counters;
+  while (machine_.time < std::min(until, kDuration) && !machine_.detected) {
+    ++machine_.time;
+    counters[0] += static_cast<std::uint32_t>(machine_.time);
+    counters[1] ^= counters[0];
+    counters[2] = (counters[2] << 1 | counters[2] >> 31) + 1;
+    counters[3] = counters[0] + counters[1] + counters[2];
+    if (counters[0] > kCounterCeiling) machine_.detected = true;
   }
 }
 
 Status FrameworkTarget::initTestCard() {
-  for (auto& counter : counters_) counter = 0;
-  time_ = 0;
-  detected_ = false;
+  machine_ = Machine{};
   snapshot_ = BitVector();
   return Status::Ok();
 }
@@ -75,16 +74,17 @@ Status FrameworkTarget::runWorkload() {
 
 Status FrameworkTarget::waitForBreakpoint() {
   StepUntil(spec_.trigger.count);
-  observation_.stop_reason = time_ < kDuration && !detected_
-                                 ? sim::StopReason::kBreakpoint
-                                 : sim::StopReason::kHalted;
+  observation_.stop_reason =
+      machine_.time < kDuration && !machine_.detected
+          ? sim::StopReason::kBreakpoint
+          : sim::StopReason::kHalted;
   return Status::Ok();
 }
 
 Status FrameworkTarget::readScanChain() {
   BitVector image((kCounters + 1) * 32);
   for (unsigned i = 0; i < kCounters; ++i) {
-    image.SetField(i * 32u, 32, counters_[i]);
+    image.SetField(i * 32u, 32, machine_.counters[i]);
   }
   image.SetField(kCounters * 32u, 32, kMachineId);
   observation_.chain_images["internal"] = image;
@@ -119,7 +119,7 @@ Status FrameworkTarget::injectFault() {
       snapshot_.Flip(index * 32u + fault.bit);
     } else {
       // The SWIFI variants skip the chain read: flip the live state.
-      counters_[index] ^= 1u << fault.bit;
+      machine_.counters[index] ^= 1u << fault.bit;
     }
   }
   observation_.fault_was_injected = !spec_.targets.empty();
@@ -129,7 +129,7 @@ Status FrameworkTarget::injectFault() {
 Status FrameworkTarget::writeScanChain() {
   if (snapshot_.size() == 0) return Status::Ok();
   for (unsigned i = 0; i < kCounters; ++i) {
-    counters_[i] =
+    machine_.counters[i] =
         static_cast<std::uint32_t>(snapshot_.GetField(i * 32u, 32));
   }
   return Status::Ok();
@@ -144,72 +144,54 @@ Status FrameworkTarget::waitForTermination() {
       ASSIGN_OR_RETURN(sim::Snapshot snapshot, CaptureSnapshot());
       checkpoint_sink_->boundaries.push_back(
           {std::make_shared<const sim::Snapshot>(std::move(snapshot)), {}});
-      const std::uint64_t boundary = time_ + (stride - time_ % stride);
+      const std::uint64_t boundary =
+          machine_.time + (stride - machine_.time % stride);
       if (boundary >= kDuration) break;
       StepUntil(boundary);
-      if (detected_) break;
+      if (machine_.detected) break;
     }
   }
   StepUntil(kDuration);
   observation_.stop_reason =
-      detected_ ? sim::StopReason::kEdm : sim::StopReason::kHalted;
-  if (detected_) {
+      machine_.detected ? sim::StopReason::kEdm : sim::StopReason::kHalted;
+  if (machine_.detected) {
     sim::EdmEvent edm;
     edm.type = sim::EdmType::kAssertion;
-    edm.time = time_;
+    edm.time = machine_.time;
     observation_.edm = edm;
   }
-  observation_.instructions = time_;
+  observation_.instructions = machine_.time;
   return Status::Ok();
 }
 
 Status FrameworkTarget::readMemory() {
-  observation_.emitted = {counters_[0], counters_[3]};
+  observation_.emitted = {machine_.counters[0], machine_.counters[3]};
   return Status::Ok();
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint-fork support. The machine state fits in a fixed-size blob:
-// the four counters, the time step and the detection flag. The SCIFI
-// working image (snapshot_) is scratch between readScanChain and
+// Checkpoint-fork support: a snapshot holds a copy of the machine. The
+// SCIFI working image (snapshot_) is scratch between readScanChain and
 // writeScanChain — it is always empty at checkpoint and fork points.
 // ---------------------------------------------------------------------
 
 Result<sim::Snapshot> FrameworkTarget::CaptureSnapshot() {
   sim::Snapshot snapshot;
-  snapshot.instret = time_;
-  std::vector<std::uint8_t>& blob = snapshot.extras["framework"];
-  auto append64 = [&blob](std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      blob.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-    }
-  };
-  for (const std::uint32_t counter : counters_) append64(counter);
-  append64(time_);
-  append64(detected_ ? 1 : 0);
+  snapshot.instret = machine_.time;
+  snapshot.extras["framework"] = machine_;
   return snapshot;
 }
 
 Status FrameworkTarget::RestoreSnapshot(const sim::Snapshot& snapshot) {
   const auto found = snapshot.extras.find("framework");
-  if (found == snapshot.extras.end() ||
-      found->second.size() != (kCounters + 2) * 8) {
+  const Machine* machine = found == snapshot.extras.end()
+                               ? nullptr
+                               : std::any_cast<Machine>(&found->second);
+  if (machine == nullptr) {
     return InvalidArgumentError(
         "snapshot carries no framework machine state");
   }
-  const std::vector<std::uint8_t>& blob = found->second;
-  auto read64 = [&blob](std::size_t offset) {
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<std::uint64_t>(blob[offset + i]) << (8 * i);
-    }
-    return value;
-  };
-  for (unsigned i = 0; i < kCounters; ++i) {
-    counters_[i] = static_cast<std::uint32_t>(read64(i * 8));
-  }
-  time_ = read64(kCounters * 8);
-  detected_ = read64((kCounters + 1) * 8) != 0;
+  machine_ = *machine;
   snapshot_ = BitVector();
   return Status::Ok();
 }

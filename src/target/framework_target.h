@@ -15,6 +15,7 @@
 // override one operation at a time and stay runnable throughout.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,14 +32,14 @@ class FrameworkTarget : public TargetSystemInterface {
   // observe-only identification register.
   std::vector<LocationInfo> ListLocations() const override;
 
-  // Checkpoint-fork support for the skeleton's counter machine, carried
-  // as an opaque "framework" blob in sim::Snapshot::extras. A port that
-  // adds target state of its own must override these three alongside
-  // the Fig. 3 operations — or override SupportsCheckpointFork to
-  // return false until it does. The golden run's boundaries are
-  // recorded by waitForTermination while a recording sink is armed; a
-  // port that replaces it without recording gets none, and its
-  // experiments replay from reset.
+  // Checkpoint-fork support for the skeleton's counter machine: its
+  // Machine struct, held by value under the "framework" key of
+  // sim::Snapshot::extras. A port that adds target state of its own
+  // must override these three alongside the Fig. 3 operations — or
+  // override SupportsCheckpointFork to return false until it does. The
+  // golden run's boundaries are recorded by waitForTermination while a
+  // recording sink is armed; a port that replaces it without recording
+  // gets none, and its experiments replay from reset.
   bool SupportsCheckpointFork() const override { return true; }
   Result<sim::Snapshot> CaptureSnapshot() override;
   Status RestoreSnapshot(const sim::Snapshot& snapshot) override;
@@ -64,9 +65,14 @@ class FrameworkTarget : public TargetSystemInterface {
   // built-in range EDM fires, or the workload finishes.
   void StepUntil(std::uint64_t until);
 
-  std::uint32_t counters_[kCounters] = {0, 0, 0, 0};
-  std::uint64_t time_ = 0;
-  bool detected_ = false;
+  // The counter machine's whole run state: what a snapshot stores.
+  struct Machine {
+    std::array<std::uint32_t, kCounters> counters{};
+    std::uint64_t time = 0;
+    bool detected = false;
+  };
+
+  Machine machine_;
   BitVector snapshot_;
 };
 

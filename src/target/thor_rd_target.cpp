@@ -173,10 +173,10 @@ Status ThorRdTarget::RestoreSnapshot(const sim::Snapshot& snapshot) {
   RETURN_IF_ERROR(card_.cpu().RestoreState(*snapshot.cpu));
   card_.tap().RestoreState(*snapshot.tap);
   if (environment_ != nullptr) {
-    const auto blob = snapshot.extras.find("environment");
+    static const std::any kNoState;
+    const auto found = snapshot.extras.find("environment");
     RETURN_IF_ERROR(environment_->RestoreState(
-        blob != snapshot.extras.end() ? blob->second
-                                      : std::vector<std::uint8_t>{}));
+        found != snapshot.extras.end() ? found->second : kNoState));
   }
   return Status::Ok();
 }
@@ -251,9 +251,9 @@ bool ThorRdTarget::MatchesGoldenAt(const GoldenRun::Boundary& boundary) const {
     return false;
   }
   if (environment_ != nullptr) {
-    const auto blob = golden.extras.find("environment");
-    if (blob == golden.extras.end() ||
-        !environment_->MatchesState(blob->second, fork_env_outputs_)) {
+    const auto found = golden.extras.find("environment");
+    if (found == golden.extras.end() ||
+        !environment_->MatchesState(found->second, fork_env_outputs_)) {
       return false;
     }
   }

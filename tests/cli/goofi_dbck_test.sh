@@ -1,13 +1,16 @@
 #!/bin/sh
-# End-to-end exercise of goofi_dbck: verify/repair/compact on a damaged
-# WAL directory produced by goofi_tool, plus the one-way import of the
-# committed text-format fixture (tests/fixtures/legacy_text_db, the
-# dbck_demo campaign below, with the analyze report recorded beside it).
+# End-to-end exercise of goofi_dbck: verify of a shipped campaign's
+# results directory, verify/repair/compact on a damaged WAL directory
+# produced by goofi_tool, plus the one-way import of the committed
+# text-format fixture (tests/fixtures/legacy_text_db, the dbck_demo
+# campaign below, with the analyze report recorded beside it).
+#   sh goofi_dbck_test.sh <goofi_dbck> <goofi_tool> <fixtures> <campaigns>
 set -eu
 
 DBCK="$1"
 TOOL="$2"
 FIXTURES="$3"
+CAMPAIGNS="$4"
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK"
@@ -24,6 +27,13 @@ seed = 4
 location[] = cpu.regs.*
 EOF
 "$TOOL" run campaign.ini --db dbdir > /dev/null 2>&1 || fail "seed campaign"
+
+# --- verify of a shipped campaign's results ----------------------------
+"$TOOL" run "$CAMPAIGNS/regs_scifi.ini" --db regs_scifi > /dev/null 2>&1 \
+  || fail "regs_scifi campaign"
+"$DBCK" verify regs_scifi > verify_regs.out \
+  || fail "verify must exit 0 on the regs_scifi results"
+grep -q "verdict: clean" verify_regs.out || fail "regs_scifi clean verdict"
 
 # --- verify on a healthy WAL directory ---------------------------------
 "$DBCK" verify dbdir > verify.out || fail "verify must exit 0 when clean"

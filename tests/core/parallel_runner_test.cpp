@@ -132,7 +132,9 @@ TEST_F(ParallelRunnerTest, MatchesSerialRunBitForBitAtEveryWorkerCount) {
     serial_runner.set_checkpoint_fork(fork);
     auto serial_summary = serial_runner.Run("eq");
     ASSERT_TRUE(serial_summary.ok()) << serial_summary.status().ToString();
-    if (fork) EXPECT_GT(serial_summary->checkpoint_forks, 0u);
+    if (fork) {
+      EXPECT_GT(serial_summary->checkpoint_forks, 0u);
+    }
     const auto serial_logged = DumpTable(serial_db, kLoggedSystemStateTable);
     const auto serial_campaign = DumpTable(serial_db, kCampaignDataTable);
     ASSERT_EQ(serial_logged.size(), 25u);  // 24 experiments + reference
@@ -376,24 +378,6 @@ TEST_F(ParallelRunnerTest, UnknownTargetFactoryIsNotFound) {
             ErrorCode::kNotFound);
 }
 
-TEST_F(ParallelRunnerTest, WithWorkloadPreinstallsOnEveryInstance) {
-  auto factory = target::BuiltinTargetFactory("thor_rd");
-  ASSERT_TRUE(factory.ok());
-  auto workload = target::GetBuiltinWorkload("fib");
-  ASSERT_TRUE(workload.ok());
-  target::TargetFactory wrapped =
-      target::WithWorkload(*factory, *workload);
-  for (int i = 0; i < 2; ++i) {
-    auto target = wrapped();
-    ASSERT_TRUE(target.ok());
-    // A ready-to-run instance: the reference run works immediately.
-    target::ExperimentSpec reference;
-    reference.name = "probe";
-    (*target)->set_experiment(reference);
-    EXPECT_TRUE((*target)->MakeReferenceRun().ok());
-  }
-}
-
 // Satellite: the progress-callback data race. Snapshots are value
 // copies aggregated in canonical order — a callback may stash them and
 // a control thread may read them while the fleet runs (TSan-clean),
@@ -623,7 +607,9 @@ TEST_F(ParallelRunnerTest, SupervisorPreservesSerialEquivalenceUnderFaults) {
       if (!first.has_value()) {
         first = *summary;
         EXPECT_EQ(first->targets_quarantined, 6u) << shape;
-        if (fork) EXPECT_GT(first->checkpoint_forks, 0u) << shape;
+        if (fork) {
+          EXPECT_GT(first->checkpoint_forks, 0u) << shape;
+        }
         continue;
       }
       ExpectSameSummary(*summary, *first, shape);

@@ -19,9 +19,8 @@ namespace goofi::sim {
 namespace {
 
 // ---- field-by-field state comparisons ---------------------------------
-// The state structs deliberately have no operator== (they are plain
-// carriers); the tests compare every member so a new field that misses
-// Capture/Restore shows up as a named failure, not a silent pass.
+// The tests compare every member rather than the structs' operator==, so
+// a field that misses Capture/Restore shows up as a named failure.
 
 void ExpectCacheStateEq(const CacheState& a, const CacheState& b,
                         const std::string& label) {
@@ -509,58 +508,6 @@ TEST(FaultInjectorSnapshotTest, SnapshotCarriesTheInjectorField) {
   ASSERT_EQ(injector.armed().size(), 1u);
   fault.next_access = 1;  // Arm() scheduled it for the next unit access
   EXPECT_EQ(injector.armed()[0], fault);
-}
-
-// ---- AccessRecorder ---------------------------------------------------
-
-TEST(AccessRecorderSnapshotTest, RoundTripPreservesAllThreeStreams) {
-  AccessRecorder recorder;
-  recorder.OnRegisterWrite(3, 0, 42, 10);
-  recorder.OnRegisterRead(3, 11);
-  recorder.OnRegisterRead(5, 12);
-  recorder.OnMemoryWrite(0x10000, 4, 7, 13);
-  recorder.OnMemoryRead(0x10000, 4, 14);
-  recorder.OnMemoryRead(0x10020, 4, 15);
-  Cpu cpu;
-  recorder.OnInstructionRetired(cpu, Instruction{}, 0, 0x40);
-  recorder.OnInstructionRetired(cpu, Instruction{}, 1, 0x44);
-  const AccessRecorderState saved = recorder.CaptureState();
-
-  recorder.OnRegisterWrite(7, 1, 2, 99);
-  recorder.OnMemoryWrite(0x10040, 4, 9, 99);
-  recorder.OnInstructionRetired(cpu, Instruction{}, 2, 0x48);
-  recorder.RestoreState(saved);
-
-  ASSERT_EQ(recorder.register_events(3).size(), 2u);
-  EXPECT_EQ(recorder.register_events(3)[0].time, 10u);
-  EXPECT_TRUE(recorder.register_events(3)[0].is_write);
-  EXPECT_EQ(recorder.register_events(3)[1].time, 11u);
-  EXPECT_FALSE(recorder.register_events(3)[1].is_write);
-  EXPECT_EQ(recorder.register_events(5).size(), 1u);
-  EXPECT_TRUE(recorder.register_events(7).empty());
-
-  ASSERT_EQ(recorder.memory_events().size(), 2u);
-  const auto& word_events = recorder.memory_events().at(0x10000);
-  ASSERT_EQ(word_events.size(), 2u);
-  EXPECT_TRUE(word_events[0].is_write);
-  EXPECT_EQ(word_events[1].time, 14u);
-  EXPECT_EQ(recorder.memory_events().count(0x10040), 0u);
-
-  EXPECT_EQ(recorder.pc_trace(),
-            (std::vector<std::uint32_t>{0x40, 0x44}));
-}
-
-TEST(AccessRecorderSnapshotTest, RestoringAnEmptyStateClears) {
-  AccessRecorder recorder;
-  const AccessRecorderState empty = recorder.CaptureState();
-  Cpu cpu;
-  recorder.OnRegisterRead(1, 5);
-  recorder.OnMemoryRead(0x10000, 4, 6);
-  recorder.OnInstructionRetired(cpu, Instruction{}, 0, 0);
-  recorder.RestoreState(empty);
-  EXPECT_TRUE(recorder.register_events(1).empty());
-  EXPECT_TRUE(recorder.memory_events().empty());
-  EXPECT_TRUE(recorder.pc_trace().empty());
 }
 
 }  // namespace

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <any>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "target/io_map.h"
 
 namespace goofi::target {
@@ -134,6 +139,87 @@ TEST(EnvironmentTest, ResetRestartsThePlantFromScratch) {
   EXPECT_EQ(engine.speed(), initial);
   EXPECT_TRUE(engine.outputs().empty());
   EXPECT_EQ(ReadIo(memory, kIoIterOffset), 0u);
+}
+
+// An engine after one exchange per actuator command. From the initial
+// speed, an actuator of 60000 or more saturates the shaft at its
+// maximum, so two histories that differ only in such commands end at
+// the same speed.
+EngineEnvironment RunEngine(const std::vector<std::uint32_t>& actuators) {
+  sim::Memory memory = MakeIoMemory();
+  EngineEnvironment engine;
+  engine.Reset(memory);
+  for (const std::uint32_t actuator : actuators) {
+    EXPECT_TRUE(memory.PokeWord(kIoBase + kIoOutOffset, actuator));
+    EXPECT_TRUE(engine.OnIterationEnd(memory));
+  }
+  return engine;
+}
+
+TEST(EnvironmentTest, ConvergenceMatchComparesSpeedCountAndLaterOutputs) {
+  const EngineEnvironment live = RunEngine({65535, 500, 500});
+  EXPECT_TRUE(live.MatchesState(live.CaptureState(), 0));
+
+  // Differs below outputs_from only, at the same speed: a match from 1,
+  // not from 0.
+  const EngineEnvironment early = RunEngine({60000, 500, 500});
+  ASSERT_EQ(early.speed(), live.speed());
+  EXPECT_TRUE(live.MatchesState(early.CaptureState(), 1));
+  EXPECT_FALSE(live.MatchesState(early.CaptureState(), 0));
+
+  // The same outputs from 1 on, another speed.
+  const EngineEnvironment slower = RunEngine({1000, 500, 500});
+  ASSERT_NE(slower.speed(), live.speed());
+  EXPECT_FALSE(live.MatchesState(slower.CaptureState(), 1));
+
+  // One more exchange: the step and the output count differ.
+  EXPECT_FALSE(
+      live.MatchesState(RunEngine({65535, 500, 500, 500}).CaptureState(), 1));
+
+  // The same speed, step and count; only the last output differs.
+  const EngineEnvironment saturated = RunEngine({65535, 500, 65535});
+  const EngineEnvironment last = RunEngine({65535, 500, 60000});
+  ASSERT_EQ(last.speed(), saturated.speed());
+  EXPECT_FALSE(saturated.MatchesState(last.CaptureState(), 2));
+  EXPECT_TRUE(saturated.MatchesState(last.CaptureState(), 3));
+}
+
+TEST(EnvironmentTest, EngineStateMatchComparesEachFieldApart) {
+  const EngineEnvironment live = RunEngine({65535, 500, 500});
+  const std::any captured = live.CaptureState();
+  const auto* golden = std::any_cast<EngineEnvironment::State>(&captured);
+  ASSERT_NE(golden, nullptr);
+  auto matches_after =
+      [&](const std::function<void(EngineEnvironment::State&)>& change,
+          std::size_t outputs_from) {
+        EngineEnvironment::State changed = *golden;
+        change(changed);
+        return live.MatchesState(changed, outputs_from);
+      };
+  using State = EngineEnvironment::State;
+  EXPECT_TRUE(matches_after([](State&) {}, 1));
+  EXPECT_FALSE(matches_after([](State& s) { ++s.speed; }, 1));
+  EXPECT_FALSE(matches_after([](State& s) { ++s.step; }, 1));
+  EXPECT_FALSE(matches_after([](State& s) { s.outputs.push_back(0); }, 1));
+  EXPECT_FALSE(matches_after([](State& s) { s.outputs[1] ^= 1; }, 1));
+  EXPECT_FALSE(matches_after([](State& s) { s.outputs[2] ^= 1; }, 1));
+  EXPECT_TRUE(matches_after([](State& s) { s.outputs[0] ^= 1; }, 1));
+  EXPECT_FALSE(live.MatchesState(std::any{}, 1));
+  EXPECT_FALSE(live.MatchesState(std::string("engine"), 1));
+}
+
+TEST(EnvironmentTest, RestoreReinstatesTheEngineAndRejectsForeignState) {
+  const EngineEnvironment live = RunEngine({900, 450, 65535});
+  EngineEnvironment restored;
+  ASSERT_TRUE(restored.RestoreState(live.CaptureState()).ok());
+  EXPECT_EQ(restored.speed(), live.speed());
+  EXPECT_EQ(restored.outputs(), live.outputs());
+  EXPECT_TRUE(restored.MatchesState(live.CaptureState(), 0));
+
+  EXPECT_EQ(restored.RestoreState(std::any{}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(restored.RestoreState(std::vector<std::uint8_t>(24)).code(),
+            ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "target/framework_target.h"
 
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -243,6 +244,26 @@ TEST(FrameworkTargetTest, RuntimeSwifiFlipsLiveState) {
   EXPECT_TRUE(target.observation().fault_was_injected);
   ASSERT_EQ(target.observation().emitted.size(), 2u);
   EXPECT_NE(target.observation().emitted[0], golden[0]);
+}
+
+TEST(FrameworkTargetTest, RestoreRejectsASnapshotWithoutItsMachineState) {
+  FrameworkTarget target;
+  ASSERT_TRUE(target.MakeReferenceRun().ok());
+  auto snapshot = target.CaptureSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_TRUE(target.RestoreSnapshot(*snapshot).ok());
+
+  EXPECT_EQ(target.RestoreSnapshot(sim::Snapshot{}).code(),
+            ErrorCode::kInvalidArgument);
+  sim::Snapshot other_key = *snapshot;
+  other_key.extras["environment"] = other_key.extras.at("framework");
+  other_key.extras.erase("framework");
+  EXPECT_EQ(target.RestoreSnapshot(other_key).code(),
+            ErrorCode::kInvalidArgument);
+  sim::Snapshot other_type = *snapshot;
+  other_type.extras["framework"] = std::string("framework");
+  EXPECT_EQ(target.RestoreSnapshot(other_type).code(),
+            ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

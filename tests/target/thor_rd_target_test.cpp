@@ -296,5 +296,35 @@ TEST(ThorRdTargetTest, ScifiIntoMemoryLocationIsRejected) {
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
 }
 
+TEST(ThorRdTargetTest, RestoreRejectsASnapshotWithoutTheEnvironment) {
+  auto plain = MakeLoadedTarget("isort");
+  ASSERT_TRUE(plain->MakeReferenceRun().ok());
+  auto snapshot = plain->CaptureSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+
+  auto mission = MakeLoadedTarget("engine_control");
+  ASSERT_TRUE(mission->MakeReferenceRun().ok());
+  ASSERT_NE(mission->environment(), nullptr);
+  EXPECT_EQ(mission->RestoreSnapshot(*snapshot).code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST(ThorRdTargetTest, RestoreRejectsASnapshotWithoutCpuOrTapState) {
+  auto target = MakeLoadedTarget("fib");
+  ASSERT_TRUE(target->MakeReferenceRun().ok());
+  auto snapshot = target->CaptureSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_TRUE(target->RestoreSnapshot(*snapshot).ok());
+
+  sim::Snapshot no_cpu = *snapshot;
+  no_cpu.cpu.reset();
+  EXPECT_EQ(target->RestoreSnapshot(no_cpu).code(),
+            ErrorCode::kInvalidArgument);
+  sim::Snapshot no_tap = *snapshot;
+  no_tap.tap.reset();
+  EXPECT_EQ(target->RestoreSnapshot(no_tap).code(),
+            ErrorCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace goofi::target
