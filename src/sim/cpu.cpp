@@ -35,7 +35,7 @@ void Cpu::ClearPostStepHooks() { hooks_.clear(); }
 
 CpuState Cpu::CaptureState() const {
   return CpuState{core_,
-                  emitted_,
+                  emitted_.Capture(),
                   edm_events_,
                   memory_.CaptureState(),
                   icache_.CaptureState(),
@@ -49,21 +49,15 @@ Status Cpu::RestoreState(const CpuState& state) {
   RETURN_IF_ERROR(icache_.RestoreState(state.icache));
   RETURN_IF_ERROR(dcache_.RestoreState(state.dcache));
   core_ = state;
-  emitted_ = state.emitted;
+  emitted_.Restore(state.emitted);
   edm_events_ = state.edm_events;
   return Status::Ok();
 }
 
 bool Cpu::MatchesExceptMemory(const CpuState& state,
                               std::size_t emitted_from) const {
-  emitted_from = std::min(emitted_from, emitted_.size());
   return core_ == static_cast<const CpuCore&>(state) &&
-         emitted_.size() == state.emitted.size() &&
-         std::equal(emitted_.begin() +
-                        static_cast<std::ptrdiff_t>(emitted_from),
-                    emitted_.end(),
-                    state.emitted.begin() +
-                        static_cast<std::ptrdiff_t>(emitted_from)) &&
+         emitted_.MatchesFrom(state.emitted, emitted_from) &&
          edm_events_ == state.edm_events && icache_.ArraysMatch(state.icache) &&
          dcache_.ArraysMatch(state.dcache);
 }
@@ -72,7 +66,7 @@ void Cpu::Reset(std::uint32_t boot_pc) {
   core_ = CpuCore{};
   core_.pc = boot_pc;
   core_.wdt = config_.watchdog_period;
-  emitted_.clear();
+  emitted_.Clear();
   edm_events_.clear();
   icache_.Invalidate();
   dcache_.Invalidate();
@@ -254,7 +248,7 @@ StepOutcome Cpu::Step() {
           core_.wdt = config_.watchdog_period;
           break;
         case SysCode::kEmit:
-          emitted_.push_back(read_reg(1));
+          emitted_.Append(read_reg(1));
           break;
         case SysCode::kRecovery:
           ++core_.recoveries;

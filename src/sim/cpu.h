@@ -25,6 +25,7 @@
 #include "sim/isa.h"
 #include "sim/memory.h"
 #include "sim/tracer.h"
+#include "sim/word_log.h"
 #include "util/status.h"
 
 namespace goofi::sim {
@@ -85,12 +86,14 @@ struct CpuCore {
 };
 
 // The CPU's complete run state: the core block, the emitted-output and
-// EDM event logs, and the owned memory image and cache arrays. Post-step
-// fault hooks, the tracer connection and the trap-handler configuration
-// are driver-side wiring re-established by the target's run phases, not
-// state.
+// EDM event logs, and the owned memory image and cache arrays. The
+// emitted words are a prefix of the CPU's log (sim/word_log.h) and the
+// memory image is page-shared (sim/memory.h), so captures taken along
+// one run share both. Post-step fault hooks, the tracer connection and
+// the trap-handler configuration are driver-side wiring re-established
+// by the target's run phases, not state.
 struct CpuState : CpuCore {
-  std::vector<std::uint32_t> emitted;
+  WordLog::Prefix emitted;
   std::vector<EdmEvent> edm_events;
   MemoryState memory;
   CacheState icache;
@@ -141,7 +144,9 @@ class Cpu {
   std::uint64_t iteration_count() const { return core_.iterations; }
   // Emitted output stream (SYS kEmit of r1) — part of the workload's
   // observable result alongside its memory output region.
-  const std::vector<std::uint32_t>& emitted() const { return emitted_; }
+  const std::vector<std::uint32_t>& emitted() const {
+    return emitted_.words();
+  }
   const std::vector<EdmEvent>& edm_events() const { return edm_events_; }
   std::uint64_t recovery_count() const { return core_.recoveries; }
 
@@ -204,7 +209,7 @@ class Cpu {
   Cache dcache_;
 
   CpuCore core_;
-  std::vector<std::uint32_t> emitted_;
+  WordLog emitted_;
   std::vector<EdmEvent> edm_events_;
 
   Tracer* tracer_ = nullptr;

@@ -101,7 +101,9 @@ MemFault Memory::WriteByte(std::uint32_t address, std::uint8_t value) {
   Backing* backing = FindBacking(address);
   if (backing == nullptr) return MemFault::kUnmapped;
   if (!backing->segment.writable) return MemFault::kProtection;
-  backing->bytes[address - backing->segment.base] = value;
+  const std::size_t offset = address - backing->segment.base;
+  backing->bytes[offset] = value;
+  NoteStore(backing, offset, 1);
   return MemFault::kNone;
 }
 
@@ -115,7 +117,9 @@ bool Memory::Peek(std::uint32_t address, std::uint8_t* value) const {
 bool Memory::Poke(std::uint32_t address, std::uint8_t value) {
   Backing* backing = FindBacking(address);
   if (backing == nullptr) return false;
-  backing->bytes[address - backing->segment.base] = value;
+  const std::size_t offset = address - backing->segment.base;
+  backing->bytes[offset] = value;
+  NoteStore(backing, offset, 1);
   return true;
 }
 
@@ -134,14 +138,16 @@ bool Memory::PokeWord(std::uint32_t address, std::uint32_t value) {
   const std::size_t offset = address - backing->segment.base;
   if (offset + 4 > backing->bytes.size()) return false;
   std::memcpy(backing->bytes.data() + offset, &value, 4);
+  NoteStore(backing, offset, 4);
   return true;
 }
 
 bool Memory::FlipBit(std::uint32_t address, unsigned bit) {
   Backing* backing = FindBacking(address);
   if (backing == nullptr || bit > 7) return false;
-  backing->bytes[address - backing->segment.base] ^=
-      static_cast<std::uint8_t>(1u << bit);
+  const std::size_t offset = address - backing->segment.base;
+  backing->bytes[offset] ^= static_cast<std::uint8_t>(1u << bit);
+  NoteStore(backing, offset, 1);
   return true;
 }
 
@@ -166,18 +172,53 @@ Result<std::vector<std::uint8_t>> Memory::DumpRange(
   return out;
 }
 
+void Memory::NoteStore(const Backing* backing, std::size_t offset,
+                       std::size_t length) const {
+  if (read_ahead_ != nullptr) {
+    read_ahead_->OnStore(IndexOf(backing), offset, length);
+  }
+}
+
 void Memory::ClearContents() {
   for (Backing& backing : backings_) {
     std::fill(backing.bytes.begin(), backing.bytes.end(), 0);
+    NoteStore(&backing, 0, backing.bytes.size());
   }
+}
+
+bool operator==(const MemoryState::Backing& a, const MemoryState::Backing& b) {
+  if (a.size != b.size || a.pages.size() != b.pages.size()) return false;
+  for (std::size_t page = 0; page < a.pages.size(); ++page) {
+    if (a.pages[page] != b.pages[page] &&
+        std::memcmp(a.pages[page].get(), b.pages[page].get(),
+                    a.PageSize(page)) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 MemoryState Memory::CaptureState() const {
   MemoryState state;
-  state.backings.reserve(backings_.size());
-  for (const Backing& backing : backings_) {
-    state.backings.push_back(backing.bytes);
+  state.backings.resize(backings_.size());
+  for (std::size_t b = 0; b < backings_.size(); ++b) {
+    MemoryState::Backing& out = state.backings[b];
+    out.size = backings_[b].bytes.size();
+    out.pages.resize((out.size + kMemoryPageBytes - 1) / kMemoryPageBytes);
+    for (std::size_t page = 0; page < out.pages.size(); ++page) {
+      if (read_ahead_ != nullptr) {
+        out.pages[page] = read_ahead_->UnchangedPage(b, page);
+        if (out.pages[page] != nullptr) continue;
+      }
+      const std::size_t length = out.PageSize(page);
+      std::shared_ptr<std::uint8_t[]> copy =
+          std::make_shared_for_overwrite<std::uint8_t[]>(length);
+      std::memcpy(copy.get(),
+                  backings_[b].bytes.data() + page * kMemoryPageBytes, length);
+      out.pages[page] = std::move(copy);
+    }
   }
+  if (read_ahead_ != nullptr) read_ahead_->OnCapture(state);
   return state;
 }
 
@@ -188,15 +229,23 @@ Status Memory::RestoreState(const MemoryState& state) {
                   state.backings.size(), backings_.size()));
   }
   for (std::size_t i = 0; i < backings_.size(); ++i) {
-    if (state.backings[i].size() != backings_[i].bytes.size()) {
+    const MemoryState::Backing& saved = state.backings[i];
+    if (saved.size != backings_[i].bytes.size() ||
+        saved.pages.size() !=
+            (saved.size + kMemoryPageBytes - 1) / kMemoryPageBytes) {
       return InvalidArgumentError(StrFormat(
           "memory snapshot segment %zu is %zu bytes, segment '%s' is %zu",
-          i, state.backings[i].size(), backings_[i].segment.name.c_str(),
+          i, saved.size, backings_[i].segment.name.c_str(),
           backings_[i].bytes.size()));
     }
   }
   for (std::size_t i = 0; i < backings_.size(); ++i) {
-    backings_[i].bytes = state.backings[i];
+    const MemoryState::Backing& saved = state.backings[i];
+    for (std::size_t page = 0; page < saved.pages.size(); ++page) {
+      std::memcpy(backings_[i].bytes.data() + page * kMemoryPageBytes,
+                  saved.pages[page].get(), saved.PageSize(page));
+    }
+    NoteStore(&backings_[i], 0, saved.size);
   }
   return Status::Ok();
 }
@@ -204,23 +253,20 @@ Status Memory::RestoreState(const MemoryState& state) {
 bool Memory::DiffersOnlyWhere(
     const MemoryState& state,
     const std::function<bool(std::size_t, std::size_t)>& may_differ) const {
-  // Equal blocks are skipped with one memcmp each; only a differing
-  // block is walked word by word.
-  constexpr std::size_t kBlock = 256;
+  // Equal pages are skipped with one memcmp each; only a differing page
+  // is walked word by word.
   for (std::size_t b = 0; b < backings_.size(); ++b) {
     const std::vector<std::uint8_t>& live = backings_[b].bytes;
-    const std::vector<std::uint8_t>& golden = state.backings[b];
-    for (std::size_t block = 0; block < live.size(); block += kBlock) {
-      const std::size_t end = std::min(live.size(), block + kBlock);
-      if (std::memcmp(live.data() + block, golden.data() + block,
-                      end - block) == 0) {
-        continue;
-      }
-      for (std::size_t word = block; word < end; word += 4) {
-        const std::size_t length = std::min<std::size_t>(4, end - word);
-        if (std::memcmp(live.data() + word, golden.data() + word, length) !=
-                0 &&
-            !may_differ(b, word / 4)) {
+    const MemoryState::Backing& golden = state.backings[b];
+    for (std::size_t page = 0; page < golden.pages.size(); ++page) {
+      const std::uint8_t* live_page = live.data() + page * kMemoryPageBytes;
+      const std::uint8_t* golden_page = golden.pages[page].get();
+      const std::size_t length = golden.PageSize(page);
+      if (std::memcmp(live_page, golden_page, length) == 0) continue;
+      for (std::size_t at = 0; at < length; at += 4) {
+        const std::size_t word_length = std::min<std::size_t>(4, length - at);
+        if (std::memcmp(live_page + at, golden_page + at, word_length) != 0 &&
+            !may_differ(b, (page * kMemoryPageBytes + at) / 4)) {
           return false;
         }
       }

@@ -5,10 +5,21 @@
 // strays outside its segment, or a corrupted PC that leaves the code
 // segment, is *detected* rather than silent — exactly the detected/escaped
 // distinction the paper's analysis phase classifies.
+//
+// Live memory is one flat byte array per segment. A captured image
+// (MemoryState) holds each segment as fixed-size pages behind shared
+// pointers, so the golden run's many checkpoints (target/golden_run.h)
+// share every page the run did not store into between them: while a
+// ReadAheadRecorder is attached, a capture reuses the previous
+// capture's page wherever the recorder saw no store (sim/read_ahead.h).
+// Restore copies the pages back into the flat arrays.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,10 +52,28 @@ struct Segment {
   bool uncacheable = false;
 };
 
+// Bytes per page of a captured memory image. A segment's last page
+// holds what is left of it.
+inline constexpr std::size_t kMemoryPageBytes = 1024;
+
 // Segment contents by backing index; the segment map itself is part of
 // the board's identity (test_card Initialize) and must already match.
+// Pages are immutable once captured, so any number of captures (and
+// threads) may share one.
 struct MemoryState {
-  std::vector<std::vector<std::uint8_t>> backings;
+  struct Backing {
+    std::size_t size = 0;  // bytes
+    // Page p holds bytes [p * kMemoryPageBytes, min(size, (p + 1) *
+    // kMemoryPageBytes)).
+    std::vector<std::shared_ptr<const std::uint8_t[]>> pages;
+
+    std::size_t PageSize(std::size_t page) const {
+      return std::min(kMemoryPageBytes, size - page * kMemoryPageBytes);
+    }
+    // Equal bytes, whether or not the pages are shared.
+    friend bool operator==(const Backing& a, const Backing& b);
+  };
+  std::vector<Backing> backings;
 };
 
 class Memory {
@@ -67,9 +96,9 @@ class Memory {
   MemFault ReadByte(std::uint32_t address, std::uint8_t* value) const;
   MemFault WriteByte(std::uint32_t address, std::uint8_t value);
 
-  // Unchecked accesses for the loader, the test card and fault injection
-  // (pre-runtime SWIFI flips bits in the image before execution).
-  // They fail only when the address is unmapped.
+  // Unchecked accesses for the loader, the test card, the environment
+  // model and fault injection (pre-runtime SWIFI flips bits in the image
+  // before execution). They fail only when the address is unmapped.
   bool Peek(std::uint32_t address, std::uint8_t* value) const;
   bool Poke(std::uint32_t address, std::uint8_t value);
   bool PeekWord(std::uint32_t address, std::uint32_t* value) const;
@@ -94,7 +123,11 @@ class Memory {
 
   // Main-memory access observer, attached only while the golden run
   // records checkpoints (sim/read_ahead.h): ReadWord and ReadByte report
-  // the word they read, WriteWord the word it stored. nullptr detaches.
+  // the word they read, WriteWord the word it stored, and every other
+  // path that changes a byte (WriteByte, the Poke/PokeWord/FlipBit
+  // backdoor and the bulk helpers built on it, ClearContents,
+  // RestoreState) the bytes it changed. CaptureState shares the pages
+  // the recorder saw no store into. nullptr detaches.
   void set_read_ahead_recorder(ReadAheadRecorder* recorder) {
     read_ahead_ = recorder;
   }
@@ -108,8 +141,10 @@ class Memory {
       const std::function<bool(std::size_t, std::size_t)>& may_differ) const;
 
   // Checkpoint support (sim/snapshot.h): capture/reinstate all segment
-  // contents. RestoreState fails unless the segment layout (count and
-  // sizes, in mapping order) matches the captured one.
+  // contents. A capture copies only the pages that an attached recorder
+  // does not hand back unchanged.
+  // RestoreState fails unless the segment layout (count and sizes, in
+  // mapping order) matches the captured one.
   MemoryState CaptureState() const;
   Status RestoreState(const MemoryState& state);
 
@@ -137,6 +172,10 @@ class Memory {
   std::size_t IndexOf(const Backing* backing) const {
     return static_cast<std::size_t>(backing - backings_.data());
   }
+  // Tells an attached recorder that `length` bytes at `offset` of
+  // `backing` changed.
+  void NoteStore(const Backing* backing, std::size_t offset,
+                 std::size_t length) const;
 
   std::vector<Backing> backings_;
   FaultInjector* injector_ = nullptr;

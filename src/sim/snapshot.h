@@ -20,6 +20,14 @@
 // cache shape) that fails loudly on a mismatch instead of silently
 // corrupting the run. Targets aggregate the components into a Snapshot
 // behind TargetSystemInterface.
+//
+// The golden run records a dense grid of snapshots, so the two parts
+// that grow with the run are shared between them instead of copied:
+// the memory image as immutable pages that consecutive captures share
+// wherever the run did not store (sim/memory.h), and the emitted-word
+// and environment-output histories as a length into one append-only
+// storage (sim/word_log.h). Restoring either gives the live component
+// a private copy, so forked runs never write into golden state.
 #pragma once
 
 #include <any>

@@ -26,26 +26,25 @@ const std::string& EngineEnvironment::name() const {
 }
 
 void EngineEnvironment::Reset(sim::Memory& memory) {
-  state_.speed = kInitialSpeed;
-  state_.step = 0;
-  state_.outputs.clear();
+  plant_ = Plant{kInitialSpeed, 0};
+  outputs_.Clear();
   (void)memory.PokeWord(kIoBase + kIoInOffset,
-                        static_cast<std::uint32_t>(state_.speed));
+                        static_cast<std::uint32_t>(plant_.speed));
   (void)memory.PokeWord(kIoBase + kIoOutOffset, 0);
   (void)memory.PokeWord(kIoBase + kIoIterOffset, 0);
 }
 
 bool EngineEnvironment::OnIterationEnd(sim::Memory& memory) {
   const std::uint32_t actuator = PeekIoWord(memory, kIoOutOffset);
-  state_.outputs.push_back(actuator);
-  const std::uint64_t step = ++state_.step;
+  outputs_.Append(actuator);
+  const std::uint64_t step = ++plant_.step;
 
   // Square-wave load: alternates every 8 iterations, so the controller
   // keeps getting re-excited over the 40-iteration mission.
   const std::int32_t load =
       kBaseLoad + ((step / 8) % 2 == 0 ? 0 : kLoadSwing);
   // First-order shaft dynamics, integer arithmetic for determinism.
-  std::int32_t& speed = state_.speed;
+  std::int32_t& speed = plant_.speed;
   const std::int32_t thrust =
       static_cast<std::int32_t>(actuator & 0xffff) - load - speed / 8;
   speed += thrust / 4;
@@ -72,23 +71,16 @@ Status EngineEnvironment::RestoreState(const std::any& state) {
     return InvalidArgumentError(
         "snapshot carries no engine environment state");
   }
-  state_ = *engine;
+  plant_ = *engine;
+  outputs_.Restore(engine->outputs);
   return Status::Ok();
 }
 
 bool EngineEnvironment::MatchesState(const std::any& state,
                                      std::size_t outputs_from) const {
   const State* golden = std::any_cast<State>(&state);
-  if (golden == nullptr || golden->speed != state_.speed ||
-      golden->step != state_.step ||
-      golden->outputs.size() != state_.outputs.size()) {
-    return false;
-  }
-  outputs_from = std::min(outputs_from, state_.outputs.size());
-  return std::equal(
-      state_.outputs.begin() + static_cast<std::ptrdiff_t>(outputs_from),
-      state_.outputs.end(),
-      golden->outputs.begin() + static_cast<std::ptrdiff_t>(outputs_from));
+  return golden != nullptr && plant_ == *golden &&
+         outputs_.MatchesFrom(golden->outputs, outputs_from);
 }
 
 Result<std::unique_ptr<Environment>> MakeEnvironment(

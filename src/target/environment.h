@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/memory.h"
+#include "sim/word_log.h"
 #include "util/status.h"
 
 namespace goofi::target {
@@ -67,28 +68,39 @@ class EngineEnvironment : public Environment {
   void Reset(sim::Memory& memory) override;
   bool OnIterationEnd(sim::Memory& memory) override;
   const std::vector<std::uint32_t>& outputs() const override {
-    return state_.outputs;
+    return outputs_.words();
   }
 
-  // The plant's whole run state: the shaft speed, the exchange count
-  // and the actuator history. The IO page the plant exchanges through
-  // lives in target memory and is restored with the CPU's memory
-  // image, not here.
-  struct State {
+  // The shaft speed and the exchange count. The plant runs on this
+  // block, so a snapshot stores a copy of it and the convergence test
+  // compares it with ==.
+  struct Plant {
     std::int32_t speed = 0;
     std::uint64_t step = 0;
-    std::vector<std::uint32_t> outputs;
+
+    friend bool operator==(const Plant&, const Plant&) = default;
+  };
+  // The plant's whole run state: the plant block and the actuator
+  // history, a prefix of the model's log (sim/word_log.h), so the golden
+  // run's captures share one history. The IO page the plant exchanges
+  // through lives in target memory and is restored with the CPU's
+  // memory image, not here.
+  struct State : Plant {
+    sim::WordLog::Prefix outputs;
   };
 
-  std::int32_t speed() const { return state_.speed; }
+  std::int32_t speed() const { return plant_.speed; }
 
-  std::any CaptureState() const override { return state_; }
+  std::any CaptureState() const override {
+    return State{plant_, outputs_.Capture()};
+  }
   Status RestoreState(const std::any& state) override;
   bool MatchesState(const std::any& state,
                     std::size_t outputs_from) const override;
 
  private:
-  State state_;
+  Plant plant_;
+  sim::WordLog outputs_;
 };
 
 // Factory keyed by WorkloadSpec::environment ("engine").

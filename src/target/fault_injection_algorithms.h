@@ -121,8 +121,10 @@ class TargetSystemInterface {
 
   // Record the golden run into `sink` during MakeReferenceRun: a
   // boundary at instruction 0 and then at every multiple of
-  // `sink->stride`, which must be nonzero. nullptr disables recording
-  // (the default). The caller fills in the final observation.
+  // `sink->stride`, which must be nonzero, and on a target that keeps
+  // one, the fork grid between them (target/golden_run.h). nullptr
+  // disables recording (the default). The caller fills in the final
+  // observation.
   void set_checkpoint_recording(GoldenRun* sink) { checkpoint_sink_ = sink; }
 
   // Start subsequent runs from `snapshot` (nullptr reverts to running

@@ -182,8 +182,10 @@ Status ThorRdTarget::RestoreSnapshot(const sim::Snapshot& snapshot) {
 }
 
 Result<bool> ThorRdTarget::RunInStrides(
-    std::uint64_t stride, const std::function<Result<bool>()>& at_boundary) {
+    std::uint64_t stride, std::uint64_t points,
+    const std::function<Result<bool>()>& at_point) {
   const EffectiveTermination term = ResolveTermination();
+  const std::uint64_t spacing = (stride + points - 1) / points;
   for (;;) {
     const std::uint64_t remaining = RemainingBudget(term);
     if (remaining == 0) {
@@ -195,42 +197,48 @@ Result<bool> ThorRdTarget::RunInStrides(
       FinishRun(result);
       return false;
     }
-    const std::uint64_t to_boundary =
-        stride - card_.cpu().instret() % stride;
+    const std::uint64_t offset = card_.cpu().instret() % stride;
+    const std::uint64_t to_point =
+        std::min(stride, (offset / spacing + 1) * spacing) - offset;
     const sim::RunResult result =
-        card_.Run(std::min(remaining, to_boundary), term.max_iterations,
+        card_.Run(std::min(remaining, to_point), term.max_iterations,
                   IterationCallback());
     if (result.reason != sim::StopReason::kBudgetExhausted ||
         RemainingBudget(term) == 0) {
       FinishRun(result);
       return false;
     }
-    ASSIGN_OR_RETURN(const bool stop, at_boundary());
+    ASSIGN_OR_RETURN(const bool stop, at_point());
     if (stop) return true;
   }
 }
 
 Status ThorRdTarget::RunToTerminationRecordingCheckpoints() {
+  // The recorder is attached before the first capture, so every capture
+  // shares the pages the run did not store into since the one before.
   sim::Memory& memory = card_.cpu().memory();
   sim::ReadAheadRecorder reads(memory);
-  const std::size_t first = checkpoint_sink_->boundaries.size();
+  memory.set_read_ahead_recorder(&reads);
+  const std::uint64_t stride = checkpoint_sink_->stride;
+  std::vector<std::size_t> stride_boundaries;
   auto record = [&]() -> Result<bool> {
     ASSIGN_OR_RETURN(sim::Snapshot snapshot, CaptureSnapshot());
+    if (snapshot.instret % stride == 0) {
+      stride_boundaries.push_back(checkpoint_sink_->boundaries.size());
+      reads.MarkBoundary();
+    }
     checkpoint_sink_->boundaries.push_back(
         {std::make_shared<const sim::Snapshot>(std::move(snapshot)), {}});
-    reads.MarkBoundary();
     return false;
   };
   Result<bool> ran = record();
-  if (ran.ok()) {
-    memory.set_read_ahead_recorder(&reads);
-    ran = RunInStrides(checkpoint_sink_->stride, record);
-    memory.set_read_ahead_recorder(nullptr);
-  }
+  if (ran.ok()) ran = RunInStrides(stride, kForkPointsPerStride, record);
+  memory.set_read_ahead_recorder(nullptr);
   RETURN_IF_ERROR(ran.status());
   std::vector<sim::MemoryWordSet> sets = reads.Finish();
   for (std::size_t i = 0; i < sets.size(); ++i) {
-    checkpoint_sink_->boundaries[first + i].reads_ahead = std::move(sets[i]);
+    checkpoint_sink_->boundaries[stride_boundaries[i]].reads_ahead =
+        std::move(sets[i]);
   }
   return Status::Ok();
 }
@@ -430,7 +438,7 @@ Status ThorRdTarget::waitForTermination() {
   // snapshot, the rest of the run is the golden run's.
   ASSIGN_OR_RETURN(
       const bool converged,
-      RunInStrides(golden_run_->stride, [this]() -> Result<bool> {
+      RunInStrides(golden_run_->stride, 1, [this]() -> Result<bool> {
         const std::uint64_t instret = card_.cpu().instret();
         const GoldenRun::Boundary* boundary = golden_run_->AtOrBelow(instret);
         return boundary != nullptr && boundary->snapshot->instret == instret &&

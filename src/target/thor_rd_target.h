@@ -118,17 +118,18 @@ class ThorRdTarget : public TargetSystemInterface {
   std::uint64_t RemainingBudget(const EffectiveTermination& term) const;
   std::function<bool(sim::Cpu&)> IterationCallback();
   void FinishRun(const sim::RunResult& result);
-  // Runs to termination in chunks that end on multiples of `stride`.
-  // At each boundary reached with budget left, `at_boundary` returns
-  // true to stop the run there. Returns true when it did; otherwise the
-  // run finished and FinishRun recorded its outcome, exactly as one
-  // un-chunked run would have.
-  Result<bool> RunInStrides(std::uint64_t stride,
-                            const std::function<Result<bool>()>& at_boundary);
-  // waitForTermination while a recording sink is armed: runs in
-  // stride-sized chunks, recording a snapshot and the memory read-ahead
-  // set into checkpoint_sink_ at instruction 0 and every stride
-  // boundary reached.
+  // Runs to termination in chunks that end on `points` evenly spaced
+  // points per stride: each multiple of `stride` and every
+  // ceil(stride / points) instructions after it. At each point reached
+  // with budget left, `at_point` returns true to stop the run there.
+  // Returns true when it did; otherwise the run finished and FinishRun
+  // recorded its outcome, exactly as one un-chunked run would have.
+  Result<bool> RunInStrides(std::uint64_t stride, std::uint64_t points,
+                            const std::function<Result<bool>()>& at_point);
+  // waitForTermination while a recording sink is armed: records a
+  // snapshot into checkpoint_sink_ at instruction 0 and at every point
+  // of the fork grid reached (kForkPointsPerStride per stride), and the
+  // memory read-ahead set at each stride boundary among them.
   Status RunToTerminationRecordingCheckpoints();
   // Convergence: a forked transient-fault run under normal logging with
   // no post-step hooks may stop where it rejoins the golden run.

@@ -1,19 +1,23 @@
-// Checkpoint-fork execution: the golden run's boundary lookup and the
-// recordings the targets make, and the guarantee the whole mode rides
-// on — a campaign run with fork-from-checkpoint logs a database
-// bit-identical to replay-from-reset, serially, at any worker count,
-// under supervision retries, and on the framework skeleton target.
-// Ineligible campaigns must silently fall back to replay rather than
-// change results.
+// Checkpoint-fork execution: the golden run's boundary lookup, the
+// recordings the targets make and the fork grid between stride
+// boundaries, and the guarantee the whole mode rides on — a campaign
+// run with fork-from-checkpoint logs a database bit-identical to
+// replay-from-reset, serially, at any worker count, under supervision
+// retries, and on the framework skeleton target. Ineligible campaigns
+// must silently fall back to replay rather than change results.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/goofi_schema.h"
 #include "core/runner.h"
+#include "core/supervision.h"
 #include "target/flaky_target.h"
 #include "target/framework_target.h"
 #include "target/golden_run.h"
@@ -80,6 +84,83 @@ class CheckpointForkTest : public ::testing::Test {
     auto factory = target::BuiltinTargetFactory("thor_rd");
     EXPECT_TRUE(factory.ok());
     return *factory;
+  }
+
+  // Runtime SWIFI on a 500-iteration engine_control mission (about
+  // 13,900 instructions): the stride gives a fork grid spacing of 100.
+  static CampaignConfig MissionConfig(std::uint32_t experiments) {
+    CampaignConfig config;
+    config.name = "ck_grid";
+    config.workload = "engine_control";
+    config.technique = target::Technique::kSwifiRuntime;
+    config.num_experiments = experiments;
+    config.seed = 41;
+    config.termination.max_iterations = 500;
+    config.checkpoint_mode = true;
+    config.checkpoint_stride = 1600;
+    return config;
+  }
+
+  // Stores `config` and prepares its run on `reference`, whose
+  // reference run records the golden run.
+  static PreparedCampaign Prepare(db::Database& database,
+                                  const CampaignConfig& config,
+                                  target::ThorRdTarget& reference) {
+    SetUpDatabase(database, config);
+    auto prepared =
+        PrepareCampaignRun(database, &reference, config.name, false, true);
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+    EXPECT_NE(prepared->golden_run, nullptr);
+    return std::move(*prepared);
+  }
+
+  // One experiment on `target` as a campaign worker runs it: forked from
+  // `golden`'s point at or below the trigger, or from reset when
+  // `golden` is null. The observation's serialized form, as logged.
+  static std::string RunOne(target::ThorRdTarget& target,
+                            const CampaignConfig& config,
+                            const target::ExperimentSpec& spec,
+                            std::shared_ptr<const target::GoldenRun> golden) {
+    std::shared_ptr<const sim::Snapshot> start;
+    if (golden != nullptr) {
+      const target::GoldenRun::Boundary* fork =
+          golden->AtOrBelow(spec.trigger.count);
+      EXPECT_NE(fork, nullptr);
+      if (fork != nullptr) start = fork->snapshot;
+    }
+    TargetSlot slot = TargetSlot::Borrow(&target);
+    auto outcome = RunSupervisedExperiment(slot, spec, config,
+                                           SupervisionPolicy{}, {},
+                                           std::move(start), golden);
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    if (!outcome.ok()) return "";
+    EXPECT_TRUE(outcome->disposition.completed()) << spec.name;
+    return outcome->observation.Serialize();
+  }
+
+  static target::ExperimentSpec Spec(const ExperimentPlan& plan,
+                                     std::size_t index) {
+    std::uint64_t resamples = 0;
+    auto spec = SampleExperimentSpec(plan, index, &resamples);
+    EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+    return *spec;
+  }
+
+  // The bytes of memory pages the golden run's snapshots hold, each
+  // shared page counted once.
+  static std::size_t DistinctPageBytes(const target::GoldenRun& golden) {
+    std::set<const std::uint8_t*> pages;
+    std::size_t bytes = 0;
+    for (const target::GoldenRun::Boundary& boundary : golden.boundaries) {
+      for (const auto& backing : boundary.snapshot->cpu->memory.backings) {
+        for (std::size_t page = 0; page < backing.pages.size(); ++page) {
+          if (pages.insert(backing.pages[page].get()).second) {
+            bytes += backing.PageSize(page);
+          }
+        }
+      }
+    }
+    return bytes;
   }
 };
 
@@ -159,6 +240,149 @@ TEST_F(CheckpointForkTest, RecordingsStartAtZeroAndIncreaseStrictly) {
   // The framework machine runs 64 steps: 0, 5, ..., 60.
   EXPECT_EQ(framework_instrets.size(), 13u);
   EXPECT_EQ(framework_instrets.back(), 60u);
+}
+
+// ---- the fork grid -----------------------------------------------------
+
+TEST_F(CheckpointForkTest, GridPointsLieBetweenStrideBoundaries) {
+  // Stride boundaries carry the read-ahead sets convergence compares
+  // with; the grid points between them are fork-only.
+  db::Database database;
+  target::ThorRdTarget reference;
+  const PreparedCampaign prepared =
+      Prepare(database, MissionConfig(1), reference);
+  const target::GoldenRun& golden = *prepared.golden_run;
+  const std::uint64_t spacing = 100;
+  std::size_t stride_boundaries = 0;
+  for (std::size_t i = 0; i < golden.boundaries.size(); ++i) {
+    const target::GoldenRun::Boundary& boundary = golden.boundaries[i];
+    const std::uint64_t instret = boundary.snapshot->instret;
+    EXPECT_EQ(instret, (i / target::kForkPointsPerStride) * golden.stride +
+                           (i % target::kForkPointsPerStride) * spacing)
+        << i;
+    EXPECT_EQ(!boundary.reads_ahead.backings.empty(),
+              instret % golden.stride == 0)
+        << instret;
+    if (instret % golden.stride == 0) ++stride_boundaries;
+  }
+  EXPECT_EQ(stride_boundaries,
+            prepared.summary.reference.instructions / golden.stride + 1);
+  EXPECT_GT(golden.boundaries.size(),
+            (stride_boundaries - 1) * target::kForkPointsPerStride);
+}
+
+TEST_F(CheckpointForkTest, TriggersOnAndBesideGridPointsGiveReplaysRows) {
+  const CampaignConfig config = MissionConfig(5);
+  db::Database database;
+  target::ThorRdTarget reference;
+  const PreparedCampaign prepared = Prepare(database, config, reference);
+  const std::shared_ptr<const target::GoldenRun> golden = prepared.golden_run;
+  const ExperimentPlan plan = prepared.MakePlan();
+  target::ThorRdTarget forked;
+  target::ThorRdTarget replayed;
+  ASSERT_TRUE(ConfigureTargetWorkload(config, &forked).ok());
+  ASSERT_TRUE(ConfigureTargetWorkload(config, &replayed).ok());
+
+  const std::uint64_t spacing = 100;
+  const std::uint64_t grid_point = 3 * golden->stride + 5 * spacing;
+  struct Trigger {
+    const char* name;
+    std::uint64_t instret;
+    std::uint64_t fork_at;
+  };
+  for (const Trigger& trigger :
+       {Trigger{"on a grid point", grid_point, grid_point},
+        Trigger{"one past a grid point", grid_point + 1, grid_point},
+        Trigger{"below the first non-zero point", spacing - 1, 0}}) {
+    ASSERT_EQ(golden->AtOrBelow(trigger.instret)->snapshot->instret,
+              trigger.fork_at)
+        << trigger.name;
+    for (std::size_t i = 0; i < config.num_experiments; ++i) {
+      target::ExperimentSpec spec = Spec(plan, i);
+      spec.trigger.count = trigger.instret;
+      EXPECT_EQ(RunOne(forked, config, spec, golden),
+                RunOne(replayed, config, spec, nullptr))
+          << trigger.name << ", experiment " << i;
+    }
+  }
+}
+
+TEST_F(CheckpointForkTest, RecordingTargetRunsLeaveTheGoldenHistoriesIntact) {
+  // The reference target records the golden run, whose captures share
+  // its emitted and environment histories, and then runs experiments as
+  // worker 0 does. Its first one, forked or from reset, drives the
+  // actuator stream off the golden one from the start. Had it written
+  // into the golden storage, a second target forking from the same
+  // golden run afterwards would restore the wrong histories.
+  const CampaignConfig config = MissionConfig(6);
+  target::ExperimentSpec divergent;
+  divergent.name = "ck_grid/divergent";
+  divergent.technique = target::Technique::kSwifiRuntime;
+  divergent.trigger.kind = sim::Breakpoint::Kind::kInstretReached;
+  divergent.trigger.count = 40;
+  divergent.targets = {{"cpu.regs.r2", 10}};  // the PID integral
+  for (const bool first_from_reset : {false, true}) {
+    db::Database database;
+    target::ThorRdTarget reference;
+    const PreparedCampaign prepared = Prepare(database, config, reference);
+    const std::shared_ptr<const target::GoldenRun> golden =
+        prepared.golden_run;
+    const ExperimentPlan plan = prepared.MakePlan();
+    const std::string diverged = RunOne(reference, config, divergent,
+                                        first_from_reset ? nullptr : golden);
+    ASSERT_NE(diverged, golden->final_observation.Serialize());
+    std::vector<std::string> first_rows;
+    for (std::size_t i = 0; i < config.num_experiments; ++i) {
+      first_rows.push_back(RunOne(reference, config, Spec(plan, i), golden));
+    }
+    target::ThorRdTarget second;
+    target::ThorRdTarget replayed;
+    ASSERT_TRUE(ConfigureTargetWorkload(config, &second).ok());
+    ASSERT_TRUE(ConfigureTargetWorkload(config, &replayed).ok());
+    EXPECT_EQ(RunOne(replayed, config, divergent, nullptr), diverged);
+    for (std::size_t i = 0; i < config.num_experiments; ++i) {
+      const std::string serial =
+          RunOne(replayed, config, Spec(plan, i), nullptr);
+      EXPECT_EQ(first_rows[i], serial) << i;
+      EXPECT_EQ(RunOne(second, config, Spec(plan, i), golden), serial)
+          << "experiment " << i << ", first from reset " << first_from_reset;
+    }
+  }
+}
+
+TEST_F(CheckpointForkTest, MissionGoldenRunHoldsLessMemoryThanTwoImages) {
+  std::ifstream file(std::string(GOOFI_CAMPAIGNS_DIR) + "/engine_mission.ini");
+  ASSERT_TRUE(file.good());
+  std::stringstream text;
+  text << file.rdbuf();
+  const auto config = ParseCampaignText(text.str());
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  db::Database database;
+  target::ThorRdTarget reference;
+  const PreparedCampaign prepared = Prepare(database, *config, reference);
+  const target::GoldenRun& golden = *prepared.golden_run;
+  std::size_t image_bytes = 0;
+  for (const auto& backing :
+       golden.boundaries.front().snapshot->cpu->memory.backings) {
+    image_bytes += backing.size;
+  }
+  EXPECT_GT(golden.boundaries.size(), 10 * target::kForkPointsPerStride);
+  EXPECT_LT(DistinctPageBytes(golden), 2 * image_bytes);
+}
+
+TEST_F(CheckpointForkTest, GoldenRunDoesNotGrowWithThePlan) {
+  std::vector<std::size_t> boundaries;
+  std::vector<std::size_t> page_bytes;
+  for (const std::uint32_t experiments : {1u, 1'000'000'000u}) {
+    CampaignConfig config = MakeConfig(experiments);
+    db::Database database;
+    target::ThorRdTarget reference;
+    const PreparedCampaign prepared = Prepare(database, config, reference);
+    boundaries.push_back(prepared.golden_run->boundaries.size());
+    page_bytes.push_back(DistinctPageBytes(*prepared.golden_run));
+  }
+  EXPECT_EQ(boundaries[0], boundaries[1]);
+  EXPECT_EQ(page_bytes[0], page_bytes[1]);
 }
 
 // ---- fork vs replay equivalence ---------------------------------------

@@ -19,6 +19,13 @@
 namespace goofi::sim {
 namespace {
 
+// `log` with word `i` flipped in bit 0.
+WordLog::Prefix Flipped(const WordLog::Prefix& log, std::size_t i) {
+  std::vector<std::uint32_t> words = log.ToVector();
+  words[i] ^= 1;
+  return WordLog::Prefix(std::move(words));
+}
+
 struct CpuCase {
   std::string name;
   std::function<void(CpuState&)> change;
@@ -111,12 +118,18 @@ TEST_F(CpuConvergenceMatchTest, OneEdmEventBreaksTheMatch) {
 TEST_F(CpuConvergenceMatchTest, EmittedWordsPastTheSharedPrefixAreCompared) {
   const std::size_t from = EmittedFrom();
   for (std::size_t i = from; i < golden_.emitted.size(); ++i) {
-    EXPECT_FALSE(MatchesAfter([i](CpuState& s) { s.emitted[i] ^= 1; }))
+    EXPECT_FALSE(MatchesAfter(
+        [i](CpuState& s) { s.emitted = Flipped(s.emitted, i); }))
         << "emitted[" << i << "]";
   }
-  EXPECT_FALSE(MatchesAfter([](CpuState& s) { s.emitted.push_back(0); }));
+  EXPECT_FALSE(MatchesAfter([](CpuState& s) {
+    std::vector<std::uint32_t> words = s.emitted.ToVector();
+    words.push_back(0);
+    s.emitted = WordLog::Prefix(std::move(words));
+  }));
   for (std::size_t i = 0; i < from; ++i) {
-    EXPECT_TRUE(MatchesAfter([i](CpuState& s) { s.emitted[i] ^= 1; }))
+    EXPECT_TRUE(MatchesAfter(
+        [i](CpuState& s) { s.emitted = Flipped(s.emitted, i); }))
         << "emitted[" << i << "] lies in the shared prefix";
   }
 }
@@ -159,8 +172,13 @@ TEST_F(CpuConvergenceMatchTest, CacheStatisticsAndMemoryAreNotCompared) {
   }));
   // Memory belongs to Memory::DiffersOnlyWhere, which knows which words
   // may differ.
-  EXPECT_TRUE(
-      MatchesAfter([](CpuState& s) { s.memory.backings[1][0] ^= 1; }));
+  EXPECT_TRUE(MatchesAfter([](CpuState& s) {
+    std::shared_ptr<const std::uint8_t[]>& page = s.memory.backings[1].pages[0];
+    auto flipped = std::make_shared<std::uint8_t[]>(kMemoryPageBytes);
+    std::copy(page.get(), page.get() + kMemoryPageBytes, flipped.get());
+    flipped[0] ^= 1;
+    page = flipped;
+  }));
 }
 
 TEST(InjectorConvergenceMatchTest, ArmedFaultsAndCountersAreCompared) {

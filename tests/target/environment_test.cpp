@@ -200,10 +200,19 @@ TEST(EnvironmentTest, EngineStateMatchComparesEachFieldApart) {
   EXPECT_TRUE(matches_after([](State&) {}, 1));
   EXPECT_FALSE(matches_after([](State& s) { ++s.speed; }, 1));
   EXPECT_FALSE(matches_after([](State& s) { ++s.step; }, 1));
-  EXPECT_FALSE(matches_after([](State& s) { s.outputs.push_back(0); }, 1));
-  EXPECT_FALSE(matches_after([](State& s) { s.outputs[1] ^= 1; }, 1));
-  EXPECT_FALSE(matches_after([](State& s) { s.outputs[2] ^= 1; }, 1));
-  EXPECT_TRUE(matches_after([](State& s) { s.outputs[0] ^= 1; }, 1));
+  auto outputs_after = [](const std::function<void(std::vector<std::uint32_t>&)>&
+                              change) {
+    return [change](State& s) {
+      std::vector<std::uint32_t> outputs = s.outputs.ToVector();
+      change(outputs);
+      s.outputs = sim::WordLog::Prefix(std::move(outputs));
+    };
+  };
+  using Words = std::vector<std::uint32_t>;
+  EXPECT_FALSE(matches_after(outputs_after([](Words& w) { w.push_back(0); }), 1));
+  EXPECT_FALSE(matches_after(outputs_after([](Words& w) { w[1] ^= 1; }), 1));
+  EXPECT_FALSE(matches_after(outputs_after([](Words& w) { w[2] ^= 1; }), 1));
+  EXPECT_TRUE(matches_after(outputs_after([](Words& w) { w[0] ^= 1; }), 1));
   EXPECT_FALSE(live.MatchesState(std::any{}, 1));
   EXPECT_FALSE(live.MatchesState(std::string("engine"), 1));
 }
